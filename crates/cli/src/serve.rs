@@ -784,6 +784,8 @@ impl AnalysisBackend for AnalysisService {
             ("imbert_skipped", fm.imbert_skipped),
             ("early_unsat_exits", fm.early_unsat_exits),
             ("max_width", fm.max_width),
+            ("emptiness_checks", fm.emptiness_checks),
+            ("emptiness_memo_hits", fm.emptiness_memo_hits),
         ]
     }
 

@@ -528,6 +528,8 @@ fn metrics_stats_and_traced_requests_expose_the_telemetry_surface() {
         "chora_http_requests_total{endpoint=\"/v1/analyze\",class=\"2xx\"}",
         "chora_analyses_total",
         "chora_fm_rows_generated_total",
+        "chora_fm_emptiness_checks_total",
+        "chora_fm_emptiness_memo_hits_total",
         "chora_process_start_time_ms",
     ] {
         assert!(body.contains(needle), "missing `{needle}` in:\n{body}");
@@ -546,7 +548,12 @@ fn metrics_stats_and_traced_requests_expose_the_telemetry_surface() {
     // /v1/stats carries the new lifecycle fields alongside the counters.
     let (status, stats) = one_shot(&addr, "GET", "/v1/stats", None).expect("stats");
     assert_eq!(status, 200, "{stats}");
-    for field in ["\"started_unix_ms\": ", "\"gc\": ", "\"evicted_bytes\": "] {
+    for field in [
+        "\"started_unix_ms\": ",
+        "\"gc\": ",
+        "\"evicted_bytes\": ",
+        "\"emptiness_memo_hits\": ",
+    ] {
         assert!(stats.contains(field), "missing {field} in:\n{stats}");
     }
 

@@ -27,7 +27,7 @@ use chora_ir::{
     fingerprint::level_keys, CallGraph, Component, Fingerprint, FingerprintBuilder, Procedure,
     Program, Stmt,
 };
-use chora_logic::{Atom, Polyhedron, TransitionFormula};
+use chora_logic::{Atom, EmptinessMemo, Polyhedron, TransitionFormula};
 use chora_telemetry::trace;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::OnceLock;
@@ -895,6 +895,11 @@ fn analysis_metrics() -> &'static AnalysisMetrics {
 /// a plain sequential loop in id order, which the caller guarantees is
 /// topological.
 ///
+/// Every task decides Fourier–Motzkin emptiness against an
+/// [`EmptinessMemo`] that lives exactly as long as this call: one for the
+/// sequential path, one per worker thread for the parallel path.  The
+/// guards restore the thread's previous state on drop, panics included.
+///
 /// A panicking task marks the run poisoned and wakes every worker (so none
 /// deadlocks waiting for tasks that will never arrive) before propagating
 /// the panic through the scope join.
@@ -918,6 +923,7 @@ where
     if jobs <= 1 || n <= 1 {
         // Sequential: the caller's thread is the only lane; tasks never
         // wait in a queue.
+        let _memo = EmptinessMemo::open();
         return (0..n)
             .map(|t| {
                 let _task = trace::task_scope(t as u64, 0);
@@ -958,6 +964,7 @@ where
         for w in 0..workers {
             scope.spawn(move || {
                 trace::claim_lane(&format!("worker-{w}"));
+                let _memo = EmptinessMemo::open();
                 loop {
                     let task = {
                         let mut queue = ready.lock().expect("scheduler queue lock");
@@ -1345,5 +1352,33 @@ mod tests {
         });
         let par = parallel.analyze_with_store(&program, Some(&store));
         assert_eq!(par.cache.hits, 3);
+    }
+
+    #[test]
+    fn a_panicking_task_leaves_no_memo_on_the_thread() {
+        // Two independent tasks; the second panics mid-run.
+        let dependents = vec![Vec::new(), Vec::new()];
+        let run = |jobs: usize| {
+            std::panic::catch_unwind(|| {
+                run_ready_queue(jobs, &dependents, vec![0, 0], |t| {
+                    assert!(EmptinessMemo::is_open(), "tasks run inside a memo");
+                    assert!(t != 1, "task 1 fails");
+                    t
+                })
+            })
+        };
+        for jobs in [1, 2] {
+            assert!(run(jobs).is_err(), "jobs={jobs}: the panic propagates");
+            assert!(
+                !EmptinessMemo::is_open(),
+                "jobs={jobs}: the run's memo must not outlive it"
+            );
+        }
+        // A run nested in an open memo hands the outer one back.
+        let outer = EmptinessMemo::open();
+        assert!(run(1).is_err());
+        assert!(EmptinessMemo::is_open(), "the outer memo is restored");
+        drop(outer);
+        assert!(!EmptinessMemo::is_open());
     }
 }

@@ -13,7 +13,9 @@
 //! * [`ExpPoly`] — exponential-polynomial closed forms of one parameter (the
 //!   solution class of C-finite recurrences, §3),
 //! * [`Term`] — a small symbolic bound language with `pow`, `log2`, and
-//!   `max`, used for final procedure summaries and complexity reports.
+//!   `max`, used for final procedure summaries and complexity reports,
+//! * [`Fingerprint`] / [`FingerprintBuilder`] — the stable 128-bit FNV-1a
+//!   content hash behind the summary-cache keys.
 //!
 //! ```
 //! use chora_expr::{ExpPoly, Symbol, Term};
@@ -28,6 +30,7 @@
 //! ```
 
 mod exppoly;
+pub mod fingerprint;
 mod linear;
 mod merge;
 mod polynomial;
@@ -35,6 +38,7 @@ mod symbol;
 mod term;
 
 pub use exppoly::ExpPoly;
+pub use fingerprint::{Fingerprint, FingerprintBuilder};
 pub use linear::LinearExpr;
 pub use polynomial::{Monomial, Polynomial};
 pub use symbol::{

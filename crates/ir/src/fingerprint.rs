@@ -23,116 +23,15 @@
 //! * [`procedure_keys`] exposes the same information keyed by procedure
 //!   name, which is what tests and tooling want.
 //!
-//! The hash is a hand-rolled 128-bit FNV-1a (the build environment is
-//! offline; no external hashing crates), which is stable across platforms,
-//! processes, and releases of the standard library.
+//! The hash is the 128-bit FNV-1a of [`chora_expr::fingerprint`],
+//! re-exported here so `chora_ir::fingerprint::{Fingerprint,
+//! FingerprintBuilder}` keep naming it.
 
 use crate::ast::{Cond, Expr, Procedure, Program, Stmt};
 use crate::callgraph::{CallGraph, Component};
+pub use chora_expr::fingerprint::{Fingerprint, FingerprintBuilder};
 use chora_expr::{Symbol, SymbolKind};
 use std::collections::BTreeMap;
-use std::fmt;
-
-const FNV128_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-const FNV128_PRIME: u128 = 0x0000000001000000000000000000013b;
-
-/// A stable 128-bit content hash.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Fingerprint(pub u128);
-
-impl Fingerprint {
-    /// The canonical lower-case hex rendering (32 digits).
-    pub fn to_hex(self) -> String {
-        format!("{:032x}", self.0)
-    }
-
-    /// Parses the rendering produced by [`Fingerprint::to_hex`].
-    pub fn from_hex(s: &str) -> Option<Fingerprint> {
-        if s.len() != 32 {
-            return None;
-        }
-        u128::from_str_radix(s, 16).ok().map(Fingerprint)
-    }
-}
-
-impl fmt::Display for Fingerprint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:032x}", self.0)
-    }
-}
-
-impl fmt::Debug for Fingerprint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:032x}", self.0)
-    }
-}
-
-/// An incremental FNV-1a-128 writer with length-prefixed framing (so that
-/// `("ab", "c")` and `("a", "bc")` hash differently).
-#[derive(Clone, Debug)]
-pub struct FingerprintBuilder {
-    state: u128,
-}
-
-impl Default for FingerprintBuilder {
-    fn default() -> Self {
-        FingerprintBuilder::new()
-    }
-}
-
-impl FingerprintBuilder {
-    /// A builder seeded with the FNV offset basis.
-    pub fn new() -> FingerprintBuilder {
-        FingerprintBuilder {
-            state: FNV128_OFFSET,
-        }
-    }
-
-    /// Absorbs raw bytes (no framing).
-    pub fn write_bytes(&mut self, bytes: &[u8]) -> &mut Self {
-        for &b in bytes {
-            self.state ^= u128::from(b);
-            self.state = self.state.wrapping_mul(FNV128_PRIME);
-        }
-        self
-    }
-
-    /// Absorbs a one-byte structural tag.
-    pub fn write_tag(&mut self, tag: u8) -> &mut Self {
-        self.write_bytes(&[tag])
-    }
-
-    /// Absorbs a `u64` (little-endian).
-    pub fn write_u64(&mut self, v: u64) -> &mut Self {
-        self.write_bytes(&v.to_le_bytes())
-    }
-
-    /// Absorbs an `i64` (little-endian two's complement).
-    pub fn write_i64(&mut self, v: i64) -> &mut Self {
-        self.write_bytes(&v.to_le_bytes())
-    }
-
-    /// Absorbs a boolean.
-    pub fn write_bool(&mut self, v: bool) -> &mut Self {
-        self.write_tag(u8::from(v))
-    }
-
-    /// Absorbs a length-prefixed string.
-    pub fn write_str(&mut self, s: &str) -> &mut Self {
-        self.write_u64(s.len() as u64);
-        self.write_bytes(s.as_bytes())
-    }
-
-    /// Absorbs a finished fingerprint.
-    pub fn write_fingerprint(&mut self, fp: Fingerprint) -> &mut Self {
-        self.write_bytes(&fp.0.to_le_bytes())
-    }
-
-    /// The accumulated fingerprint.
-    pub fn finish(&self) -> Fingerprint {
-        Fingerprint(self.state)
-    }
-}
 
 /// The structural walk: hashes symbols through resolved names and numbers
 /// anonymous (fresh/dimension/scratch) symbols by first occurrence.

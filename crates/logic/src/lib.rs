@@ -10,7 +10,10 @@
 //! * [`TransitionFormula`] — bounded-DNF relations between pre-state and
 //!   post-state, the representation on which procedure summaries, the
 //!   hypothetical summaries of Alg. 2, and the depth-bounding model of
-//!   Alg. 4 are all built.
+//!   Alg. 4 are all built,
+//! * [`EmptinessMemo`] — a per-run, per-thread memo of emptiness decisions
+//!   that an analysis run opens so repeated Fourier–Motzkin checks of the
+//!   same atom list are answered once.
 //!
 //! In the original CHORA implementation these roles are played by Z3 plus the
 //! SRK/duet wedge domain; here they are built from scratch on exact rational
@@ -37,10 +40,12 @@
 //! ```
 
 mod atom;
+mod memo;
 mod polyhedron;
 pub mod stats;
 mod transition;
 
 pub use atom::{Atom, AtomKind};
+pub use memo::EmptinessMemo;
 pub use polyhedron::Polyhedron;
 pub use transition::{TransitionFormula, DEFAULT_DISJUNCT_CAP};

@@ -9,12 +9,14 @@
 //! out on the linearized view and mapped back to polynomial atoms.
 
 use crate::atom::{Atom, AtomKind};
+use crate::memo;
 use crate::stats::fm_stat;
-use chora_expr::{LinearExpr, Monomial, Polynomial, Symbol};
+use chora_expr::{Fingerprint, FingerprintBuilder, LinearExpr, Monomial, Polynomial, Symbol};
 use chora_numeric::{BigInt, BigRational};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::hash::Hash;
 
 /// Safety valve: when an intermediate Fourier–Motzkin system grows beyond
 /// this many constraints the operation falls back to a sound but less precise
@@ -134,11 +136,15 @@ impl Polyhedron {
     }
 
     /// Whether the polyhedron is unsatisfiable over the rationals.
+    ///
+    /// Decided by Fourier–Motzkin elimination of every dimension, or
+    /// answered from the thread's open memo ([`crate::EmptinessMemo`]) when
+    /// the same atom list was decided before in the run.
     pub fn is_empty_set(&self) -> bool {
-        match Linearized::new(&self.atoms) {
-            None => true,
-            Some(sys) => sys.is_unsat(),
-        }
+        memo::decide_empty(
+            || emptiness_key(&self.atoms, None),
+            || atoms_unsat(&self.atoms),
+        )
     }
 
     /// Whether every point of the polyhedron satisfies the atom.
@@ -147,10 +153,17 @@ impl Polyhedron {
             return true;
         }
         // P ⊨ a  iff  P ∧ ¬a is unsatisfiable, for every disjunct of ¬a.
+        // Each check is the emptiness of the list `atoms ++ [¬a]`, keyed
+        // without building it, so a memo hit clones nothing.
         atom.negate().iter().all(|neg| {
-            let mut with_neg = self.clone();
-            with_neg.atoms.push(neg.clone());
-            with_neg.is_empty_set()
+            memo::decide_empty(
+                || emptiness_key(&self.atoms, Some(neg)),
+                || {
+                    let mut with_neg = self.atoms.clone();
+                    with_neg.push(neg.clone());
+                    atoms_unsat(&with_neg)
+                },
+            )
         })
     }
 
@@ -174,6 +187,10 @@ impl Polyhedron {
     /// goal the residual system cannot prove is re-checked individually
     /// before being reported unprovable — the batched result is therefore
     /// never less precise than the per-atom one.
+    ///
+    /// The emptiness decisions on atom lists (ground-false goals and the
+    /// per-atom re-checks) go through the memo ([`crate::EmptinessMemo`]);
+    /// the residual checks decide a projected linear system and always run.
     pub fn implies_all(&self, goals: &[Atom]) -> bool {
         let mut pending: Vec<&Atom> = Vec::new();
         for g in goals {
@@ -500,6 +517,26 @@ impl Polyhedron {
             with_neg.atoms.push(neg.clone());
             with_neg.is_empty_set_naive()
         })
+    }
+}
+
+/// The memo key of the atom list `atoms ++ extra`: the derived `Hash` of
+/// that `[Atom]` (length prefix, then each atom) fed to FNV-1a-128,
+/// computed without materializing the list.
+fn emptiness_key(atoms: &[Atom], extra: Option<&Atom>) -> Fingerprint {
+    let mut h = FingerprintBuilder::new();
+    (atoms.len() + usize::from(extra.is_some())).hash(&mut h);
+    for a in atoms.iter().chain(extra) {
+        a.hash(&mut h);
+    }
+    h.finish()
+}
+
+/// Satisfiability of an atom list by full Fourier–Motzkin elimination.
+fn atoms_unsat(atoms: &[Atom]) -> bool {
+    match Linearized::new(atoms) {
+        None => true,
+        Some(sys) => sys.is_unsat(),
     }
 }
 
@@ -1750,6 +1787,22 @@ mod tests {
         let p = Polyhedron::from_atoms(vec![Atom::le(var("x"), c(3))]);
         let q = p.substitute(&Symbol::new("x"), &c(10));
         assert!(q.is_empty_set());
+    }
+
+    #[test]
+    fn emptiness_key_is_the_hash_of_the_extended_atom_list() {
+        let p =
+            Polyhedron::from_atoms(vec![Atom::ge(var("x"), c(1)), Atom::le(var("x"), var("y"))]);
+        let neg = Atom::lt(var("y"), c(1));
+        let mut extended = p.atoms().to_vec();
+        extended.push(neg.clone());
+        let mut h = FingerprintBuilder::new();
+        extended.hash(&mut h);
+        // `implies_atom` keys `atoms ++ [¬a]` exactly as `is_empty_set`
+        // keys that list, so the two share memo entries.
+        assert_eq!(emptiness_key(p.atoms(), Some(&neg)), h.finish());
+        assert_eq!(emptiness_key(&extended, None), h.finish());
+        assert_ne!(emptiness_key(p.atoms(), None), h.finish());
     }
 
     #[test]

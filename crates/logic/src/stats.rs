@@ -4,8 +4,10 @@
 //! projection pass in [`crate::Polyhedron`] counts every combined row it
 //! produces and every row the redundancy-control layers discard —
 //! hash-cons dedup, quasi-syntactic domination, Imbert's acceleration —
-//! plus the early-unsat exits and the widest intermediate system any
-//! elimination step produced.  The counters are process-wide relaxed
+//! plus the early-unsat exits, the widest intermediate system any
+//! elimination step produced, and how many emptiness decisions were made
+//! and how many of them the per-run memo ([`crate::EmptinessMemo`])
+//! answered without eliminating.  The counters are process-wide relaxed
 //! atomics, mirroring `chora_numeric::stats`, and [`register_metrics`]
 //! publishes the same cells into the [`chora_telemetry::metrics`] registry
 //! as `chora_fm_*` series for the `/v1/metrics` scrape.
@@ -29,6 +31,12 @@ pub struct FmStats {
     pub early_unsat_exits: u64,
     /// The largest live constraint count any elimination step produced.
     pub max_width: u64,
+    /// Emptiness decisions (`is_empty_set`, and each negated disjunct of
+    /// `implies_atom`), memoized or not.
+    pub emptiness_checks: u64,
+    /// Emptiness decisions answered from an open [`crate::EmptinessMemo`]
+    /// instead of a Fourier–Motzkin run.
+    pub emptiness_memo_hits: u64,
 }
 
 pub(crate) static ROWS_GENERATED: AtomicU64 = AtomicU64::new(0);
@@ -37,6 +45,8 @@ pub(crate) static ROWS_DOMINATED: AtomicU64 = AtomicU64::new(0);
 pub(crate) static IMBERT_SKIPPED: AtomicU64 = AtomicU64::new(0);
 pub(crate) static EARLY_UNSAT_EXITS: AtomicU64 = AtomicU64::new(0);
 pub(crate) static MAX_WIDTH: AtomicU64 = AtomicU64::new(0);
+pub(crate) static EMPTINESS_CHECKS: AtomicU64 = AtomicU64::new(0);
+pub(crate) static EMPTINESS_MEMO_HITS: AtomicU64 = AtomicU64::new(0);
 
 /// Reads the current counter values.
 pub fn snapshot() -> FmStats {
@@ -47,6 +57,8 @@ pub fn snapshot() -> FmStats {
         imbert_skipped: IMBERT_SKIPPED.load(Ordering::Relaxed),
         early_unsat_exits: EARLY_UNSAT_EXITS.load(Ordering::Relaxed),
         max_width: MAX_WIDTH.load(Ordering::Relaxed),
+        emptiness_checks: EMPTINESS_CHECKS.load(Ordering::Relaxed),
+        emptiness_memo_hits: EMPTINESS_MEMO_HITS.load(Ordering::Relaxed),
     }
 }
 
@@ -58,6 +70,8 @@ pub fn reset() {
     IMBERT_SKIPPED.store(0, Ordering::Relaxed);
     EARLY_UNSAT_EXITS.store(0, Ordering::Relaxed);
     MAX_WIDTH.store(0, Ordering::Relaxed);
+    EMPTINESS_CHECKS.store(0, Ordering::Relaxed);
+    EMPTINESS_MEMO_HITS.store(0, Ordering::Relaxed);
 }
 
 #[inline]
@@ -100,6 +114,16 @@ pub fn register_metrics() {
             "chora_fm_early_unsat_exits_total",
             "FM projection passes abandoned early on a derived contradiction.",
             &EARLY_UNSAT_EXITS,
+        );
+        registry.register_counter_static(
+            "chora_fm_emptiness_checks_total",
+            "FM emptiness decisions (is_empty_set and negated implies_atom disjuncts).",
+            &EMPTINESS_CHECKS,
+        );
+        registry.register_counter_static(
+            "chora_fm_emptiness_memo_hits_total",
+            "FM emptiness decisions answered from the per-run memo.",
+            &EMPTINESS_MEMO_HITS,
         );
         registry.register_gauge_static(
             "chora_fm_max_width",

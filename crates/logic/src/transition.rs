@@ -179,7 +179,7 @@ impl TransitionFormula {
         }
         self.disjuncts.push(p);
         if self.disjuncts.len() > self.cap {
-            // Join the two smallest disjuncts to stay within the cap.
+            // Join the first two (oldest) disjuncts to stay within the cap.
             let a = self.disjuncts.remove(0);
             let b = self.disjuncts.remove(0);
             let joined = a.join(&b);

@@ -14,12 +14,30 @@
 //! * satisfiability verdicts agree, including on contradictory systems,
 //! * single-atom and batched (`implies_all`, with its early-unsat exit)
 //!   entailment agree with the naive oracle.
+//!
+//! The per-run emptiness memo is checked for transparency on the same
+//! systems: answers inside an [`EmptinessMemo`] scope, first and repeated,
+//! equal the memo-free answers and the naive oracle's, and the scopes nest
+//! and close as documented.
 
 use chora_expr::{Polynomial, Symbol};
-use chora_logic::{Atom, Polyhedron};
+use chora_logic::{stats, Atom, EmptinessMemo, Polyhedron};
 use chora_numeric::rat;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes the tests that open memo scopes: the hit counter is
+/// process-wide, and only code inside a scope can advance it, so holding
+/// this lock makes every hit observed by a test its own.
+fn memo_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+fn memo_hits() -> u64 {
+    stats::snapshot().emptiness_memo_hits
+}
 
 const VARS: [&str; 3] = ["x", "y", "z"];
 
@@ -76,6 +94,57 @@ fn kohler_pruning_keeps_contradiction_lineage() {
     );
     assert!(p.is_empty_set_naive(), "oracle: system is unsatisfiable");
     assert!(p.is_empty_set(), "pruned engine must agree on {}", &p);
+}
+
+fn xy_box(hi: i64) -> Polyhedron {
+    let x = Polynomial::var(sym("x"));
+    let y = Polynomial::var(sym("y"));
+    Polyhedron::from_atoms(vec![
+        Atom::ge(x.clone(), Polynomial::constant(rat(0))),
+        Atom::le(x.clone(), y),
+        Atom::le(x, Polynomial::constant(rat(hi))),
+    ])
+}
+
+#[test]
+fn nested_memo_starts_empty_and_restores_the_outer_one() {
+    let _lock = memo_lock();
+    let p = xy_box(4);
+    let outer = EmptinessMemo::open();
+    assert!(!p.is_empty_set());
+    let hits = memo_hits();
+    assert!(!p.is_empty_set());
+    assert_eq!(memo_hits(), hits + 1, "a repeat in the same scope hits");
+    {
+        let _inner = EmptinessMemo::open();
+        assert!(!p.is_empty_set());
+        assert_eq!(memo_hits(), hits + 1, "a nested scope starts empty");
+        assert!(!p.is_empty_set());
+        assert_eq!(memo_hits(), hits + 2);
+    }
+    assert!(EmptinessMemo::is_open(), "the outer scope is back");
+    assert!(!p.is_empty_set());
+    assert_eq!(memo_hits(), hits + 3, "the outer scope kept its entries");
+    drop(outer);
+    assert!(!EmptinessMemo::is_open());
+}
+
+#[test]
+fn closed_memo_answers_no_more_queries() {
+    let _lock = memo_lock();
+    let p = xy_box(2);
+    let goal = Atom::le(Polynomial::var(sym("x")), Polynomial::constant(rat(3)));
+    {
+        let _memo = EmptinessMemo::open();
+        assert!(p.implies_atom(&goal));
+        assert!(p.implies_all(std::slice::from_ref(&goal)));
+        assert!(!p.is_empty_set());
+    }
+    let hits = memo_hits();
+    assert!(p.implies_atom(&goal));
+    assert!(p.implies_all(std::slice::from_ref(&goal)));
+    assert!(!p.is_empty_set());
+    assert_eq!(memo_hits(), hits, "re-queries after the scope ends compute");
 }
 
 proptest! {
@@ -147,5 +216,37 @@ proptest! {
         let batched = p.implies_all(&goals);
         let oracle = goals.iter().all(|g| p.implies_atom_naive(g));
         prop_assert_eq!(batched, oracle, "p = {}", &p);
+    }
+
+    #[test]
+    fn memoized_answers_equal_direct_and_naive_answers(
+        p in polyhedron_strategy(),
+        goals in prop::collection::vec(atom_strategy(), 1..5),
+    ) {
+        let _lock = memo_lock();
+        let direct = (
+            p.is_empty_set(),
+            goals.iter().map(|g| p.implies_atom(g)).collect::<Vec<_>>(),
+            p.implies_all(&goals),
+        );
+        prop_assert_eq!(direct.0, p.is_empty_set_naive(), "p = {}", &p);
+        for (g, implied) in goals.iter().zip(&direct.1) {
+            prop_assert_eq!(*implied, p.implies_atom_naive(g), "p = {}, goal = {}", &p, g);
+        }
+        prop_assert_eq!(direct.2, direct.1.iter().all(|&b| b), "p = {}", &p);
+        let _memo = EmptinessMemo::open();
+        // First answers fill the memo; repeats are answered from it.
+        for round in 0..2 {
+            let hits = memo_hits();
+            let memoized = (
+                p.is_empty_set(),
+                goals.iter().map(|g| p.implies_atom(g)).collect::<Vec<_>>(),
+                p.implies_all(&goals),
+            );
+            prop_assert_eq!(&memoized, &direct, "round {}: p = {}", round, &p);
+            if round == 1 {
+                prop_assert!(memo_hits() > hits, "repeats must hit the memo");
+            }
+        }
     }
 }

@@ -4,8 +4,9 @@
 //! derives none of them.
 //!
 //! The expected strings below are the classes measured by this reproduction
-//! (see EXPERIMENTS.md for the paper-vs-measured discussion); the test keeps
-//! the reproduction honest about which rows match the paper and which do not.
+//! (the full table, including the rows that differ from the paper, is pinned
+//! in `tests/suite_verdicts.rs`); the test keeps the reproduction honest about
+//! which rows match the paper and which do not.
 
 use chora::bench_suite::complexity_suite;
 use chora::core::{complexity, Analyzer, BaselineAnalyzer};
