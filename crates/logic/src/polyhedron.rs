@@ -13,10 +13,9 @@ use crate::memo;
 use crate::stats::fm_stat;
 use chora_expr::{Fingerprint, FingerprintBuilder, LinearExpr, Monomial, Polynomial, Symbol};
 use chora_numeric::{BigInt, BigRational};
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Safety valve: when an intermediate Fourier–Motzkin system grows beyond
 /// this many constraints the operation falls back to a sound but less precise
@@ -760,6 +759,96 @@ fn oriented_const(row: &FmRow) -> BigRational {
     }
 }
 
+/// A multiply–rotate word hash (the FxHash construction): each word is
+/// folded in with one rotate, xor and multiply, and `finish` rotates the
+/// well-mixed high bits down.  It hashes row keys (see [`key_hash`]) and
+/// serves as the [`RowStore`] index's hasher over those already-mixed
+/// hashes; every match it proposes is confirmed by comparing coefficients,
+/// so a collision costs one comparison and never merges two rows.
+#[derive(Clone, Copy, Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.add(u64::from(word));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.add(word);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test seam: [`key_hash`] masks every hash with this, so a test can
+    /// force unrelated rows into one chain.
+    static KEY_HASH_MASK: std::cell::Cell<u64> = const { std::cell::Cell::new(u64::MAX) };
+}
+
+/// The hash of a row's key: its canonical linear part in key orientation
+/// (flipped equations negated, the constant left out), hashed as symbol ids
+/// and coefficient values.  A coefficient whose key-orientation value lies
+/// outside `(i64::MIN, i64::MAX]` hashes as `i64::MIN`, a value no fitting
+/// coefficient produces, so equal keys always hash equal.
+fn key_hash(row: &FmRow) -> u64 {
+    let flip = eq_key_flipped(row);
+    let mut h = WordHasher::default();
+    for (s, c) in row.expr.coefficients() {
+        s.hash(&mut h);
+        let word = match c.numer().to_i64() {
+            Some(v) if v != i64::MIN => {
+                if flip {
+                    -v
+                } else {
+                    v
+                }
+            }
+            _ => i64::MIN,
+        };
+        h.add(word as u64);
+    }
+    let hash = h.finish();
+    #[cfg(test)]
+    let hash = hash & KEY_HASH_MASK.with(std::cell::Cell::get);
+    hash
+}
+
+/// Whether two rows have the same key: equal coefficient vectors once both
+/// are read in key orientation.
+fn same_key(a: &FmRow, b: &FmRow) -> bool {
+    let flip = eq_key_flipped(a) != eq_key_flipped(b);
+    a.expr.num_terms() == b.expr.num_terms()
+        && a.expr
+            .coefficients()
+            .zip(b.expr.coefficients())
+            .all(|((sa, ca), (sb, cb))| sa == sb && if flip { *ca == -cb } else { ca == cb })
+}
+
+/// One row of a [`RowStore`] with its key hash, computed once when the row
+/// first entered a store and carried along when it moves to another.
+struct Slot {
+    row: FmRow,
+    hash: u64,
+    /// The next older live slot whose key has the same hash.
+    next: Option<usize>,
+}
+
 /// The redundancy-controlled constraint set of a projection pass.
 ///
 /// Every inserted row is brought to canonical form first (see
@@ -771,17 +860,20 @@ fn oriented_const(row: &FmRow) -> BigRational {
 /// rows flip the store to `unsat` — the early exit that `implies_atom` and
 /// `implies_all` rely on.
 ///
-/// Kill-or-replace decisions go through the `index` HashMap, but the map is
-/// never iterated: surviving rows are read back in insertion order, so every
-/// result is deterministic.
+/// Rows are found by their key hash ([`key_hash`]), computed once per row:
+/// `index` maps each hash to the newest live slot carrying it, and older
+/// ones follow the slots' `next` links.  A chain can hold rows with
+/// different keys, so a lookup confirms each candidate with [`same_key`].
+/// The index is never iterated: surviving rows are read back in insertion
+/// order, so every result is deterministic.
 #[derive(Default)]
 struct RowStore {
-    /// Rows in insertion order; `None` marks a dominated (killed) row.
-    rows: Vec<Option<FmRow>>,
+    /// Slots in insertion order; `None` marks a killed or removed row.
+    rows: Vec<Option<Slot>>,
     /// Number of live rows.
     live: usize,
-    /// Canonical linear part (constant zeroed) -> index of its live row.
-    index: HashMap<LinearExpr, usize>,
+    /// Key hash -> newest live slot with that hash.
+    index: HashMap<u64, usize, BuildHasherDefault<WordHasher>>,
     /// Set when two parallel rows contradict or a ground-false row arrives.
     unsat: bool,
 }
@@ -791,9 +883,63 @@ impl RowStore {
         RowStore {
             rows: Vec::with_capacity(n),
             live: 0,
-            index: HashMap::with_capacity(n),
+            index: HashMap::with_capacity_and_hasher(n, BuildHasherDefault::default()),
             unsat: false,
         }
+    }
+
+    /// The live rows, in insertion order.
+    fn live_rows(&self) -> impl Iterator<Item = &FmRow> {
+        self.rows.iter().flatten().map(|slot| &slot.row)
+    }
+
+    /// The live slot holding `row`'s key, if any.
+    fn find(&self, row: &FmRow, hash: u64) -> Option<usize> {
+        let mut at = self.index.get(&hash).copied();
+        while let Some(id) = at {
+            let slot = self.rows[id].as_ref().expect("chains link live slots");
+            if same_key(&slot.row, row) {
+                return Some(id);
+            }
+            at = slot.next;
+        }
+        None
+    }
+
+    /// Appends a row as the newest slot of its hash's chain.
+    fn push(&mut self, row: FmRow, hash: u64) {
+        let id = self.rows.len();
+        let next = self.index.insert(hash, id);
+        self.rows.push(Some(Slot { row, hash, next }));
+        self.live += 1;
+    }
+
+    /// Takes a live row out of the store, unlinking it from its chain.
+    fn remove(&mut self, id: usize) -> FmRow {
+        let slot = self.rows[id].take().expect("removing a live slot");
+        self.live -= 1;
+        let head = self.index[&slot.hash];
+        if head == id {
+            match slot.next {
+                Some(next) => {
+                    self.index.insert(slot.hash, next);
+                }
+                None => {
+                    self.index.remove(&slot.hash);
+                }
+            }
+        } else {
+            let mut at = head;
+            loop {
+                let prev = self.rows[at].as_mut().expect("chains link live slots");
+                if prev.next == Some(id) {
+                    prev.next = slot.next;
+                    break;
+                }
+                at = prev.next.expect("a live slot is on its hash's chain");
+            }
+        }
+        slot.row
     }
 
     /// Whether `diff ◇ 0` holds, for the slack between parallel rows.
@@ -847,94 +993,81 @@ impl RowStore {
         if !canonical {
             canonicalize_row(&mut row.expr);
         }
-        let mut key = if eq_key_flipped(&row) {
-            row.expr.scale(&-BigRational::one())
-        } else {
-            row.expr.clone()
+        let hash = key_hash(&row);
+        self.insert_hashed(row, hash);
+    }
+
+    /// Inserts a canonical, non-constant row whose key hash is known — the
+    /// rest of [`RowStore::insert`], which rows moving between stores enter
+    /// directly.
+    fn insert_hashed(&mut self, mut row: FmRow, hash: u64) {
+        let Some(id) = self.find(&row, hash) else {
+            self.push(row, hash);
+            return;
         };
-        let neg_const = -key.constant_term().clone();
-        key.add_constant(&neg_const);
-        match self.index.entry(key) {
-            Entry::Vacant(v) => {
-                v.insert(self.rows.len());
-                self.rows.push(Some(row));
-                self.live += 1;
+        let prev = &self.rows[id].as_ref().expect("find returns live slots").row;
+        match (prev.kind, row.kind) {
+            (AtomKind::Eq, AtomKind::Eq) => {
+                // `p = 0` and `-p = 0` share a slot; compare the constants
+                // in key orientation.
+                if oriented_const(prev) == oriented_const(&row) {
+                    Self::dedup_cert(self.row_mut(id), &row);
+                    fm_stat!(ROWS_DEDUPED);
+                } else {
+                    self.unsat = true;
+                }
             }
-            Entry::Occupied(mut o) => {
-                let id = *o.get();
-                let prev = self.rows[id].as_ref().expect("index points at live rows");
-                match (prev.kind, row.kind) {
-                    (AtomKind::Eq, AtomKind::Eq) => {
-                        // `p = 0` and `-p = 0` share a bucket; compare the
-                        // constants in key orientation.
-                        if oriented_const(prev) == oriented_const(&row) {
-                            Self::dedup_cert(self.rows[id].as_mut().expect("live"), &row);
-                            fm_stat!(ROWS_DEDUPED);
-                        } else {
-                            self.unsat = true;
-                        }
+            (AtomKind::Eq, _) => {
+                // prev: L + a = 0, new: L + b ◇ 0  ⇒  b − a ◇ 0
+                // (both read in key orientation).
+                let diff = row.expr.constant_term() - &oriented_const(prev);
+                if Self::slack_holds(&diff, row.kind) {
+                    fm_stat!(ROWS_DOMINATED);
+                    Self::domination_cert(self.row_mut(id), &row);
+                } else {
+                    self.unsat = true;
+                }
+            }
+            (_, AtomKind::Eq) => {
+                let diff = prev.expr.constant_term() - &oriented_const(&row);
+                if Self::slack_holds(&diff, prev.kind) {
+                    fm_stat!(ROWS_DOMINATED);
+                    Self::domination_cert(&mut row, prev);
+                    self.remove(id);
+                    self.push(row, hash);
+                } else {
+                    self.unsat = true;
+                }
+            }
+            (pk, nk) => {
+                // Parallel inequalities: the larger constant is tighter; on
+                // ties a strict inequality beats a non-strict one (as the
+                // old `normalize` ruled).
+                let prev_c = prev.expr.constant_term();
+                let new_c = row.expr.constant_term();
+                let same_constant = prev_c == new_c;
+                let prev_at_least_as_tight =
+                    prev_c > new_c || (same_constant && (pk == AtomKind::Lt || nk == AtomKind::Le));
+                if prev_at_least_as_tight {
+                    if same_constant && pk == nk {
+                        Self::dedup_cert(self.row_mut(id), &row);
+                        fm_stat!(ROWS_DEDUPED);
+                    } else {
+                        fm_stat!(ROWS_DOMINATED);
+                        Self::domination_cert(self.row_mut(id), &row);
                     }
-                    (AtomKind::Eq, _) => {
-                        // prev: L + a = 0, new: L + b ◇ 0  ⇒  b − a ◇ 0
-                        // (both read in key orientation).
-                        let diff = row.expr.constant_term() - &oriented_const(prev);
-                        if Self::slack_holds(&diff, row.kind) {
-                            fm_stat!(ROWS_DOMINATED);
-                            Self::domination_cert(self.rows[id].as_mut().expect("live"), &row);
-                        } else {
-                            self.unsat = true;
-                        }
-                    }
-                    (_, AtomKind::Eq) => {
-                        let diff = prev.expr.constant_term() - &oriented_const(&row);
-                        let prev_kind = prev.kind;
-                        if Self::slack_holds(&diff, prev_kind) {
-                            fm_stat!(ROWS_DOMINATED);
-                            Self::domination_cert(&mut row, prev);
-                            self.rows[id] = None;
-                            self.live -= 1;
-                            o.insert(self.rows.len());
-                            self.rows.push(Some(row));
-                            self.live += 1;
-                        } else {
-                            self.unsat = true;
-                        }
-                    }
-                    (pk, nk) => {
-                        // Parallel inequalities: the larger constant is
-                        // tighter; on ties a strict inequality beats a
-                        // non-strict one (as the old `normalize` ruled).
-                        let prev_c = prev.expr.constant_term();
-                        let new_c = row.expr.constant_term();
-                        let same_constant = prev_c == new_c;
-                        let prev_at_least_as_tight = prev_c > new_c
-                            || (same_constant && (pk == AtomKind::Lt || nk == AtomKind::Le));
-                        if prev_at_least_as_tight {
-                            if same_constant && pk == nk {
-                                Self::dedup_cert(self.rows[id].as_mut().expect("live"), &row);
-                                fm_stat!(ROWS_DEDUPED);
-                            } else {
-                                fm_stat!(ROWS_DOMINATED);
-                                Self::domination_cert(self.rows[id].as_mut().expect("live"), &row);
-                            }
-                        } else {
-                            fm_stat!(ROWS_DOMINATED);
-                            Self::domination_cert(&mut row, prev);
-                            self.rows[id] = None;
-                            self.live -= 1;
-                            o.insert(self.rows.len());
-                            self.rows.push(Some(row));
-                            self.live += 1;
-                        }
-                    }
+                } else {
+                    fm_stat!(ROWS_DOMINATED);
+                    Self::domination_cert(&mut row, prev);
+                    self.remove(id);
+                    self.push(row, hash);
                 }
             }
         }
     }
 
-    /// The live rows, in insertion order.
-    fn take_rows(self) -> Vec<FmRow> {
-        self.rows.into_iter().flatten().collect()
+    fn row_mut(&mut self, id: usize) -> &mut FmRow {
+        &mut self.rows[id].as_mut().expect("live slot").row
     }
 
     /// The live rows as constraint pairs, in insertion order.
@@ -942,7 +1075,7 @@ impl RowStore {
         self.rows
             .into_iter()
             .flatten()
-            .map(|r| (r.expr, r.kind))
+            .map(|slot| (slot.row.expr, slot.row.kind))
             .collect()
     }
 }
@@ -976,36 +1109,52 @@ fn choose_dim(occ: &BTreeMap<Symbol, (i64, i64, bool)>) -> Option<Symbol> {
 /// [`GoneDims`] set (`None` once equality substitution has mixed Gaussian
 /// steps into the ancestor accounting); a combined row is dropped when
 /// Kohler's criterion — more than `1 + |gone|` ancestors — proves it
-/// redundant.  Returns the new store and whether the step substituted.
+/// redundant.  Returns whether the step substituted.
+///
+/// A pos×neg step works in place: it removes the rows that mention `d` and
+/// appends the combinations, which meet the unchanged rows exactly as they
+/// would in a fresh store filled in slot order.  A substitution step does
+/// rebuild, because a substituted row can share its key with an unchanged
+/// row in a *later* slot: rewriting in place would make the substituted row
+/// the kept one of that collision instead of the arriving one.  The rebuild
+/// moves unchanged rows over with their stored hashes.
 fn eliminate_rows(
-    store: RowStore,
+    store: &mut RowStore,
     d: &Symbol,
     imbert: Option<&BTreeMap<Symbol, usize>>,
-) -> (RowStore, bool) {
-    let mut rows = store.take_rows();
-    let mut next = RowStore::with_capacity(rows.len());
-    if let Some(eq_idx) = rows
-        .iter()
-        .position(|r| r.kind == AtomKind::Eq && !r.expr.coefficient(d).is_zero())
+) -> bool {
+    if store
+        .live_rows()
+        .any(|r| r.kind == AtomKind::Eq && !r.expr.coefficient(d).is_zero())
     {
-        let eq = rows.swap_remove(eq_idx);
+        let live = store.live;
+        let mut slots: Vec<Slot> = std::mem::replace(store, RowStore::with_capacity(live))
+            .rows
+            .into_iter()
+            .flatten()
+            .collect();
+        let eq_idx = slots
+            .iter()
+            .position(|s| s.row.kind == AtomKind::Eq && !s.row.expr.coefficient(d).is_zero())
+            .expect("an equation mentions d");
+        let eq = slots.swap_remove(eq_idx).row;
         // swap_remove breaks insertion order; restore it so the surviving
         // row order (and hence every downstream result) stays deterministic.
-        if eq_idx < rows.len() {
-            let moved = rows.pop().expect("swap_remove left a moved row");
-            rows.insert(eq_idx, moved);
+        if eq_idx < slots.len() {
+            let moved = slots.pop().expect("swap_remove left a moved row");
+            slots.insert(eq_idx, moved);
         }
         let coeff = eq.expr.coefficient(d);
         let mut rest = eq.expr;
         rest.add_coefficient(*d, -coeff.clone());
         let replacement = rest.scale(&(-coeff.recip()));
-        for r in rows {
+        for Slot { row: r, hash, .. } in slots {
             if r.expr.coefficient(d).is_zero() {
-                next.insert(r, true);
+                store.insert_hashed(r, hash);
             } else {
                 fm_stat!(ROWS_GENERATED);
                 let expr = r.expr.substitute(d, &replacement);
-                next.insert(
+                store.insert(
                     FmRow {
                         expr,
                         kind: r.kind,
@@ -1017,32 +1166,35 @@ fn eliminate_rows(
                     false,
                 );
             }
-            if next.unsat {
+            if store.unsat {
                 break;
             }
         }
-        return (next, true);
+        return true;
     }
     let mut pos: Vec<(LinearExpr, AtomKind, BigRational, Ancestors, GoneDims)> = Vec::new();
     let mut neg: Vec<(LinearExpr, AtomKind, BigRational, Ancestors, GoneDims)> = Vec::new();
-    for r in rows {
-        let c = r.expr.coefficient(d);
+    for id in 0..store.rows.len() {
+        let c = match &store.rows[id] {
+            Some(slot) => slot.row.expr.coefficient(d),
+            None => continue,
+        };
         if c.is_zero() {
-            next.insert(r, true);
+            continue;
+        }
+        let r = store.remove(id);
+        let mut e = r.expr;
+        e.add_coefficient(*d, -c.clone());
+        if c.is_positive() {
+            pos.push((e, r.kind, c, r.anc, r.gone));
         } else {
-            let mut e = r.expr;
-            e.add_coefficient(*d, -c.clone());
-            if c.is_positive() {
-                pos.push((e, r.kind, c, r.anc, r.gone));
-            } else {
-                neg.push((e, r.kind, -c, r.anc, r.gone));
-            }
+            neg.push((e, r.kind, -c, r.anc, r.gone));
         }
     }
-    if pos.len() * neg.len() + next.live > FM_CONSTRAINT_BUDGET {
+    if pos.len() * neg.len() + store.live > FM_CONSTRAINT_BUDGET {
         // Over-approximate: drop every row involving d (the pre-existing
         // budget fallback).
-        return (next, false);
+        return false;
     }
     'combine: for (p_rest, pk, pc, pa, pg) in &pos {
         for (n_rest, nk, n_abs, na, ng) in &neg {
@@ -1078,7 +1230,7 @@ fn eliminate_rows(
                 (AtomKind::Lt, _) | (_, AtomKind::Lt) => AtomKind::Lt,
                 _ => AtomKind::Le,
             };
-            next.insert(
+            store.insert(
                 FmRow {
                     expr: combined,
                     kind,
@@ -1087,12 +1239,12 @@ fn eliminate_rows(
                 },
                 false,
             );
-            if next.unsat {
+            if store.unsat {
                 break 'combine;
             }
         }
     }
-    (next, false)
+    false
 }
 
 impl Linearized {
@@ -1431,7 +1583,7 @@ impl Linearized {
         // sets; combinations only ever cancel dimensions, so the map never
         // needs to grow mid-pass.
         let mut dim_bits: BTreeMap<Symbol, usize> = BTreeMap::new();
-        for row in store.rows.iter().flatten() {
+        for row in store.live_rows() {
             for (s, _) in row.expr.coefficients() {
                 let bit = dim_bits.len();
                 dim_bits.entry(*s).or_insert(bit);
@@ -1448,7 +1600,7 @@ impl Linearized {
             // positive/negative inequality occurrences and whether an
             // equation mentions it.
             let mut occ: BTreeMap<Symbol, (i64, i64, bool)> = BTreeMap::new();
-            for row in store.rows.iter().flatten() {
+            for row in store.live_rows() {
                 for (s, c) in row.expr.coefficients() {
                     if !remaining.contains(s) {
                         continue;
@@ -1468,9 +1620,7 @@ impl Linearized {
             let Some(d) = choose_dim(&occ) else { break };
             remaining.remove(&d);
             let imbert = if imbert_ok { Some(&dim_bits) } else { None };
-            let (next, substituted) = eliminate_rows(store, &d, imbert);
-            store = next;
-            if substituted {
+            if eliminate_rows(&mut store, &d, imbert) {
                 imbert_ok = false;
             }
             crate::stats::record_width(store.live as u64);
@@ -1803,6 +1953,95 @@ mod tests {
         assert_eq!(emptiness_key(p.atoms(), Some(&neg)), h.finish());
         assert_eq!(emptiness_key(&extended, None), h.finish());
         assert_ne!(emptiness_key(p.atoms(), None), h.finish());
+    }
+
+    /// A store row `Σ coeffs + constant ◇ 0` with an empty certificate.
+    fn fm_row(coeffs: &[(&str, i64)], constant: i64, kind: AtomKind) -> FmRow {
+        FmRow {
+            expr: LinearExpr::from_parts(
+                coeffs.iter().map(|(s, k)| (Symbol::new(s), rat(*k))),
+                rat(constant),
+            ),
+            kind,
+            anc: Ancestors::default(),
+            gone: GoneDims::default(),
+        }
+    }
+
+    fn live(store: &RowStore) -> Vec<(String, AtomKind)> {
+        store
+            .live_rows()
+            .map(|r| (r.expr.to_string(), r.kind))
+            .collect()
+    }
+
+    fn rows(rows: &[(&str, AtomKind)]) -> Vec<(String, AtomKind)> {
+        rows.iter().map(|(e, k)| (e.to_string(), *k)).collect()
+    }
+
+    #[test]
+    fn row_store_keeps_distinct_rows_that_share_a_hash() {
+        use AtomKind::Le;
+        // Mask every key hash to zero: all rows land in one chain.
+        KEY_HASH_MASK.with(|mask| mask.set(0));
+        let mut store = RowStore::default();
+        for name in ["x", "y", "z"] {
+            store.insert(fm_row(&[(name, 1)], -1, Le), false);
+        }
+        assert_eq!(store.live, 3);
+        assert_eq!(store.index.len(), 1);
+        // A duplicate of the oldest row is found behind the two newer ones.
+        store.insert(fm_row(&[("x", 1)], -1, Le), false);
+        assert_eq!(store.rows.len(), 3);
+        // Removing the middle of the chain leaves both ends findable.
+        let y = store
+            .find(&fm_row(&[("y", 1)], 0, Le), 0)
+            .expect("y is live");
+        store.remove(y);
+        assert!(store.find(&fm_row(&[("y", 1)], 0, Le), 0).is_none());
+        assert!(store.find(&fm_row(&[("x", 1)], 0, Le), 0).is_some());
+        assert!(store.find(&fm_row(&[("z", 1)], 0, Le), 0).is_some());
+        // A tighter `z` row replaces the chain's head; `x` stays findable.
+        store.insert(fm_row(&[("z", 1)], 1, Le), false);
+        assert!(store.find(&fm_row(&[("x", 1)], 0, Le), 0).is_some());
+        assert_eq!(live(&store), rows(&[("x - 1", Le), ("z + 1", Le)]));
+        KEY_HASH_MASK.with(|mask| mask.set(u64::MAX));
+    }
+
+    #[test]
+    fn row_store_folds_equation_orientations_only() {
+        use AtomKind::{Eq, Le};
+        let p = fm_row(&[("x", 1), ("y", -1)], 0, Eq);
+        let minus_p = fm_row(&[("x", -1), ("y", 1)], 0, Eq);
+        assert_eq!(key_hash(&p), key_hash(&minus_p));
+        // `p = 0` and `−p = 0` share a slot: the second is a duplicate...
+        let mut store = RowStore::default();
+        store.insert(p, false);
+        store.insert(minus_p, false);
+        assert_eq!(store.live, 1);
+        // ... and `−p + 1 = 0` contradicts `p = 0` in that slot.
+        store.insert(fm_row(&[("x", -1), ("y", 1)], 1, Eq), false);
+        assert!(store.unsat);
+        // `p ≤ 0` and `−p ≤ 0` are different constraints.
+        let mut store = RowStore::default();
+        store.insert(fm_row(&[("x", 1), ("y", -1)], 0, Le), false);
+        store.insert(fm_row(&[("x", -1), ("y", 1)], 0, Le), false);
+        assert_eq!(store.live, 2);
+    }
+
+    #[test]
+    fn pos_neg_step_keeps_unchanged_rows_in_order_ahead_of_combinations() {
+        use AtomKind::Le;
+        let mut store = RowStore::default();
+        store.insert(fm_row(&[("x", 1), ("d", -1)], 0, Le), false); // x ≤ d
+        store.insert(fm_row(&[("y", 1)], -1, Le), false);
+        store.insert(fm_row(&[("d", 1)], -5, Le), false); // d ≤ 5
+        store.insert(fm_row(&[("z", 1)], -2, Le), false);
+        assert!(!eliminate_rows(&mut store, &Symbol::new("d"), None));
+        assert_eq!(
+            live(&store),
+            rows(&[("y - 1", Le), ("z - 2", Le), ("x - 5", Le)])
+        );
     }
 
     #[test]
