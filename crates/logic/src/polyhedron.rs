@@ -1123,32 +1123,19 @@ fn eliminate_rows(
     d: &Symbol,
     imbert: Option<&BTreeMap<Symbol, usize>>,
 ) -> bool {
-    if store
-        .live_rows()
-        .any(|r| r.kind == AtomKind::Eq && !r.expr.coefficient(d).is_zero())
-    {
+    if let Some(eq_id) = store.rows.iter().position(|slot| {
+        slot.as_ref()
+            .is_some_and(|s| s.row.kind == AtomKind::Eq && !s.row.expr.coefficient(d).is_zero())
+    }) {
         let live = store.live;
-        let mut slots: Vec<Slot> = std::mem::replace(store, RowStore::with_capacity(live))
-            .rows
-            .into_iter()
-            .flatten()
-            .collect();
-        let eq_idx = slots
-            .iter()
-            .position(|s| s.row.kind == AtomKind::Eq && !s.row.expr.coefficient(d).is_zero())
-            .expect("an equation mentions d");
-        let eq = slots.swap_remove(eq_idx).row;
-        // swap_remove breaks insertion order; restore it so the surviving
-        // row order (and hence every downstream result) stays deterministic.
-        if eq_idx < slots.len() {
-            let moved = slots.pop().expect("swap_remove left a moved row");
-            slots.insert(eq_idx, moved);
-        }
+        let mut slots = std::mem::replace(store, RowStore::with_capacity(live)).rows;
+        let eq = slots[eq_id].take().expect("position found a live slot").row;
         let coeff = eq.expr.coefficient(d);
         let mut rest = eq.expr;
         rest.add_coefficient(*d, -coeff.clone());
         let replacement = rest.scale(&(-coeff.recip()));
-        for Slot { row: r, hash, .. } in slots {
+        // The surviving rows keep their insertion order.
+        for Slot { row: r, hash, .. } in slots.into_iter().flatten() {
             if r.expr.coefficient(d).is_zero() {
                 store.insert_hashed(r, hash);
             } else {
@@ -2041,6 +2028,22 @@ mod tests {
         assert_eq!(
             live(&store),
             rows(&[("y - 1", Le), ("z - 2", Le), ("x - 5", Le)])
+        );
+    }
+
+    #[test]
+    fn substitution_step_keeps_surviving_rows_in_insertion_order() {
+        use AtomKind::{Eq, Le};
+        let mut store = RowStore::default();
+        store.insert(fm_row(&[("y", 1)], -1, Le), false);
+        store.insert(fm_row(&[("d", 1), ("x", -1)], 0, Eq), false); // d = x
+        store.insert(fm_row(&[("z", 1)], -2, Le), false);
+        store.insert(fm_row(&[("w", 1)], -3, Le), false);
+        store.insert(fm_row(&[("d", 1)], -5, Le), false); // d ≤ 5
+        assert!(eliminate_rows(&mut store, &Symbol::new("d"), None));
+        assert_eq!(
+            live(&store),
+            rows(&[("y - 1", Le), ("z - 2", Le), ("w - 3", Le), ("x - 5", Le)])
         );
     }
 
