@@ -716,8 +716,8 @@ struct FmRow {
 /// rows, which is what lets [`RowStore`] dedup and dominate them by hashing.
 /// Equations are deliberately *not* sign-flipped here — downstream bound
 /// extraction reads their orientation — the sign convention lives in the
-/// hash key instead (see [`RowStore::insert`]).  The caller guarantees the
-/// row is not constant.
+/// store's key instead (see [`key_hash`] and [`same_key`]).  The caller
+/// guarantees the row is not constant.
 fn canonicalize_row(expr: &mut LinearExpr) {
     let mut lcm = BigInt::one();
     for (_, c) in expr.coefficients() {
@@ -737,9 +737,9 @@ fn canonicalize_row(expr: &mut LinearExpr) {
 }
 
 /// Whether an equation's stored orientation is flipped relative to its
-/// canonical hash-key orientation (least symbol's coefficient positive).
+/// canonical key orientation (least symbol's coefficient positive).
 /// `p = 0` and `-p = 0` are the same constraint, so both must land in the
-/// same [`RowStore`] bucket; inequalities never flip.
+/// same [`RowStore`] slot; inequalities never flip.
 fn eq_key_flipped(row: &FmRow) -> bool {
     row.kind == AtomKind::Eq
         && row
@@ -763,8 +763,11 @@ fn oriented_const(row: &FmRow) -> BigRational {
 /// folded in with one rotate, xor and multiply, and `finish` rotates the
 /// well-mixed high bits down.  It hashes row keys (see [`key_hash`]) and
 /// serves as the [`RowStore`] index's hasher over those already-mixed
-/// hashes; every match it proposes is confirmed by comparing coefficients,
-/// so a collision costs one comparison and never merges two rows.
+/// hashes.  Unlike SipHash it does not resist keys crafted to collide, and
+/// needs not: every match is confirmed by comparing coefficients, so a
+/// collision costs one comparison and never merges two rows, and a chain
+/// holds only the live rows of one store — a crafted program can slow an
+/// analysis far more through the elimination itself.
 #[derive(Clone, Copy, Default)]
 struct WordHasher(u64);
 
@@ -918,7 +921,10 @@ impl RowStore {
     fn remove(&mut self, id: usize) -> FmRow {
         let slot = self.rows[id].take().expect("removing a live slot");
         self.live -= 1;
-        let head = self.index[&slot.hash];
+        let head = *self
+            .index
+            .get(&slot.hash)
+            .expect("a live slot's hash is indexed");
         if head == id {
             match slot.next {
                 Some(next) => {

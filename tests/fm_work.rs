@@ -1,0 +1,53 @@
+//! The Fourier–Motzkin work of one pass over the paper's evaluation, pinned.
+//!
+//! One jobs-1 analysis of each of the twelve Table 1 programs (plus its
+//! `complexity::table1_row`) and each of the fifteen Table 2 / Fig. 3
+//! assertion programs, in suite order, must produce exactly these
+//! `chora_logic::stats` counters.  They count rows the elimination engine
+//! generates and prunes and the emptiness questions it answers, so an
+//! optimization that is meant to be exact must leave them alone, and a change
+//! that alters FM work must update this table deliberately (as with
+//! `tests/suite_verdicts.rs`).
+//!
+//! The counters are process-wide, so this binary holds a single test: no
+//! other test can run in parallel and move them.
+
+use chora::bench_suite::{assertion_suite, complexity_suite};
+use chora::core::{complexity, AnalysisConfig, Analyzer};
+use chora::expr::Symbol;
+use chora::logic::stats::{self, FmStats};
+
+#[test]
+fn fm_work_of_one_suite_pass_is_pinned() {
+    let analyzer = Analyzer::with_config(AnalysisConfig {
+        jobs: 1,
+        ..AnalysisConfig::default()
+    });
+    stats::reset();
+    for bench in complexity_suite::all() {
+        let result = analyzer.analyze(&bench.program);
+        if let Some(summary) = result.summary(bench.procedure) {
+            complexity::table1_row(
+                summary,
+                &Symbol::new(bench.cost_var),
+                &Symbol::new(bench.size_param),
+            );
+        }
+    }
+    for bench in assertion_suite::all() {
+        analyzer.analyze(&bench.program);
+    }
+    assert_eq!(
+        stats::snapshot(),
+        FmStats {
+            rows_generated: 33_896,
+            rows_deduped: 4_551,
+            rows_dominated: 1_846,
+            imbert_skipped: 1_462,
+            early_unsat_exits: 418,
+            max_width: 500,
+            emptiness_checks: 8_404,
+            emptiness_memo_hits: 4_750,
+        }
+    );
+}
