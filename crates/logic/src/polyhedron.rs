@@ -2002,6 +2002,41 @@ mod tests {
     }
 
     #[test]
+    fn projection_does_not_depend_on_hash_collisions() {
+        let x = |i: usize| var(&format!("x{i}"));
+        let mut atoms = Vec::new();
+        for i in 0..5 {
+            atoms.push(Atom::le(x(i + 1), &x(i).scale(&rat(2)) + &c(i as i64 + 1)));
+            atoms.push(Atom::ge(x(i + 1).scale(&rat(3)), &x(i) - &c(2)));
+            atoms.push(Atom::le(&x(i + 1) - &x(i), c(4)));
+            atoms.push(Atom::le(&x(i + 1) - &x(i), c(6)));
+        }
+        atoms.push(Atom::eq(var("y"), &x(0) + &x(3)));
+        atoms.push(Atom::eq(
+            var("z").scale(&rat(2)),
+            &(&var("y") - &x(5)) + &c(1),
+        ));
+        atoms.push(Atom::ge(var("y"), c(0)));
+        atoms.push(Atom::le(var("z"), c(10)));
+        let drop: Vec<Symbol> = ["x1", "x2", "x3", "x4", "y", "z"]
+            .iter()
+            .map(|s| Symbol::new(s))
+            .collect();
+        let project = || {
+            let mut sys = Linearized::new(&atoms).expect("satisfiable");
+            sys.project(&drop, None);
+            (sys.unsat, sys.constraints)
+        };
+        let exact = project();
+        // Two hash values for every row: chains mix many different keys.
+        KEY_HASH_MASK.with(|mask| mask.set(1));
+        let colliding = project();
+        KEY_HASH_MASK.with(|mask| mask.set(u64::MAX));
+        assert!(!exact.0 && !exact.1.is_empty());
+        assert_eq!(exact, colliding);
+    }
+
+    #[test]
     fn row_store_folds_equation_orientations_only() {
         use AtomKind::{Eq, Le};
         let p = fm_row(&[("x", 1), ("y", -1)], 0, Eq);
