@@ -102,8 +102,26 @@ impl Atom {
     /// orientation of `p = 0`, so `-p = 0` is deduped against it only inside
     /// the projection engine's hash keys, never rewritten here.
     pub fn canonical(&self) -> Atom {
+        self.clone().into_canonical()
+    }
+
+    /// [`Atom::canonical`] by value.  An atom that already is canonical —
+    /// integer coefficients with gcd 1, which covers every atom read back
+    /// from a projection — is returned as is, without rebuilding its
+    /// polynomial.
+    pub(crate) fn into_canonical(self) -> Atom {
         if self.poly.is_constant() {
-            return self.clone();
+            return self;
+        }
+        let mut gcd = BigInt::zero();
+        let integral = self.poly.terms().all(|(_, c)| {
+            if !gcd.is_one() {
+                gcd = gcd.gcd(c.numer());
+            }
+            c.denom().is_one()
+        });
+        if integral && gcd.is_one() {
+            return self;
         }
         let (_, cleared) = self.poly.clear_denominators();
         let mut gcd = BigInt::zero();

@@ -78,7 +78,7 @@ impl Polyhedron {
         if atom.trivial_truth() == Some(true) {
             return;
         }
-        let atom = atom.canonical();
+        let atom = atom.into_canonical();
         if !self.atoms.contains(&atom) {
             self.atoms.push(atom);
         }
@@ -322,10 +322,13 @@ impl Polyhedron {
                 None => break,
                 Some((i, s, replacement)) => {
                     atoms.remove(i);
-                    atoms = atoms
-                        .into_iter()
-                        .map(|a| a.substitute(&s, &replacement))
-                        .collect();
+                    // Atoms without `s` would come out of the rewrite
+                    // unchanged; only the ones that mention it are rebuilt.
+                    for a in &mut atoms {
+                        if a.poly.degree_in(&s) > 0 {
+                            *a = a.substitute(&s, &replacement);
+                        }
+                    }
                 }
             }
         }
@@ -580,10 +583,11 @@ struct Linearized {
     unsat: bool,
 }
 
-/// Reusable buffers for [`Linearized::eliminate_dim`].
+/// Reusable buffers for [`Linearized::naive_eliminate_dim`], the
+/// fixed-order oracle (the production engine is [`Linearized::project`]).
 ///
-/// One scratch lives for a whole elimination pass (a `project`, `is_unsat`,
-/// or join loop), so the pos/neg partition and the output row list keep
+/// One scratch lives for a whole naive elimination pass (`naive_project` or
+/// `naive_is_unsat`), so the pos/neg partition and the output row list keep
 /// their allocations across dimensions instead of being rebuilt per
 /// dimension.  The third tuple field is the (positive) coefficient the
 /// combination step multiplies the opposite row by; the rows themselves are
@@ -1311,15 +1315,15 @@ impl Linearized {
     }
 
     fn delinearize(&self, expr: &LinearExpr) -> Polynomial {
-        let mut p = Polynomial::constant(expr.constant_term().clone());
-        for (s, c) in expr.coefficients() {
+        let terms = expr.coefficients().map(|(s, c)| {
             let m = match self.mono_dims.get(s) {
                 Some(m) => m.clone(),
                 None => Monomial::var(*s),
             };
-            p = &p + &Polynomial::term(c.clone(), m);
-        }
-        p
+            (c.clone(), m)
+        });
+        let constant = (expr.constant_term().clone(), Monomial::one());
+        Polynomial::from_terms(std::iter::once(constant).chain(terms))
     }
 
     fn dims(&self) -> BTreeSet<Symbol> {
@@ -1892,6 +1896,26 @@ mod tests {
         let s = p.simplify();
         assert_eq!(s.len(), 1);
         assert!(s.implies_atom(&Atom::le(var("x"), c(5))));
+    }
+
+    #[test]
+    fn simplify_round_trips_a_canonical_nonlinear_atom() {
+        // 1/2·x² - 3/2·x·y + y - 5/2 ≤ 0 canonicalizes to
+        // x² - 3·x·y + 2·y - 5 ≤ 0.  Linearized, the dimension symbols of
+        // x² and x·y sort after both variables, while as monomials x·y sorts
+        // between x and y: the row → polynomial conversion must restore
+        // monomial order and leave the atom as it was.
+        let (x2, xy) = (&var("x") * &var("x"), &var("x") * &var("y"));
+        let half = chora_numeric::ratio(1, 2);
+        let poly = &(&(&x2.scale(&half) - &xy.scale(&chora_numeric::ratio(3, 2))) + &var("y"))
+            - &Polynomial::constant(chora_numeric::ratio(5, 2));
+        let atom = Atom::le_zero(poly).canonical();
+        let integral = &(&(&x2 - &xy.scale(&rat(3))) + &var("y").scale(&rat(2))) - &c(5);
+        assert_eq!(atom, Atom::le_zero(integral));
+        assert_eq!(atom.canonical(), atom);
+        let p = Polyhedron::from_atoms(vec![atom.clone()]);
+        assert_eq!(p.atoms(), std::slice::from_ref(&atom));
+        assert_eq!(p.simplify().atoms(), std::slice::from_ref(&atom));
     }
 
     #[test]

@@ -5,11 +5,12 @@
 //!   dimensions satisfies the projection;
 //! * join over-approximates both operands;
 //! * entailment agrees with point evaluation on random rational points;
-//! * relational composition agrees with composing concrete updates.
+//! * relational composition agrees with composing concrete updates;
+//! * a polyhedron stores each atom in its canonical scaling form.
 
 use chora_expr::{Polynomial, Symbol};
 use chora_logic::{Atom, Polyhedron, TransitionFormula};
-use chora_numeric::{rat, BigRational};
+use chora_numeric::{rat, ratio, BigInt, BigRational};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -44,6 +45,33 @@ fn point_env(px: i64, py: i64) -> BTreeMap<Symbol, BigRational> {
     env.insert(sym("x"), rat(px));
     env.insert(sym("y"), rat(py));
     env
+}
+
+/// A random atom over x, y: rational coefficients on linear and non-linear
+/// monomials plus a rational constant, all multiplied by a common positive
+/// factor.  Negative coefficients give negative leading terms.
+fn random_atom(
+    terms: &[(i64, i64, usize)],
+    constant: (i64, i64),
+    factor: (i64, i64),
+    kind: usize,
+) -> Atom {
+    let monomials = [
+        var("x"),
+        var("y"),
+        &var("x") * &var("y"),
+        &var("x") * &var("x"),
+    ];
+    let mut poly = Polynomial::constant(ratio(constant.0, constant.1));
+    for &(n, d, m) in terms {
+        poly = &poly + &monomials[m].scale(&ratio(n, d));
+    }
+    let poly = poly.scale(&ratio(factor.0, factor.1));
+    match kind {
+        0 => Atom::le_zero(poly),
+        1 => Atom::lt_zero(poly),
+        _ => Atom::eq_zero(poly),
+    }
 }
 
 fn satisfies(p: &Polyhedron, env: &BTreeMap<Symbol, BigRational>) -> bool {
@@ -119,6 +147,41 @@ proptest! {
         // and conversely if the witness point violates it, implication must fail
         if px > bound {
             prop_assert!(!p.implies_atom(&atom));
+        }
+    }
+
+    #[test]
+    fn polyhedron_stores_the_canonical_atom(
+        terms in prop::collection::vec((-6i64..7, 1i64..5, 0usize..4), 0..5),
+        constant in (-9i64..10, 1i64..4),
+        factor in (1i64..7, 1i64..4),
+        kind in 0usize..3,
+    ) {
+        let a = random_atom(&terms, constant, factor, kind);
+        let canon = a.canonical();
+        prop_assert_eq!(canon.canonical(), canon.clone(), "canonical must be idempotent");
+        let stored = Polyhedron::from_atoms(vec![a.clone()]);
+        if a.trivial_truth() == Some(true) {
+            prop_assert!(stored.atoms().is_empty());
+        } else {
+            prop_assert_eq!(stored.atoms(), std::slice::from_ref(&canon));
+        }
+        // The canonical form is a positive multiple of the atom with coprime
+        // integer coefficients (constants are kept as they are).
+        prop_assert_eq!(canon.kind, a.kind);
+        let leading = a.poly.terms().find(|(m, _)| !m.is_one()).map(|(m, c)| (m.clone(), c.clone()));
+        if let Some((m, c)) = leading {
+            let k = &canon.poly.coefficient(&m) / &c;
+            prop_assert!(k.is_positive());
+            prop_assert_eq!(&canon.poly, &a.poly.scale(&k));
+            let mut gcd = BigInt::zero();
+            for (_, c) in canon.poly.terms() {
+                prop_assert!(c.denom().is_one());
+                gcd = gcd.gcd(c.numer());
+            }
+            prop_assert!(gcd.is_one());
+        } else {
+            prop_assert_eq!(&canon, &a);
         }
     }
 

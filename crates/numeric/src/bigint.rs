@@ -1,8 +1,11 @@
 //! Sign–magnitude arbitrary-precision integers with an inline small form.
 //!
 //! A [`BigInt`] is either `Small(i64)` — a machine word, no allocation — or a
-//! heap form: a little-endian vector of 32-bit limbs with no trailing zero
-//! limbs plus a [`Sign`] (zero is the empty limb vector with [`Sign::Zero`]).
+//! boxed heap form: a little-endian vector of 32-bit limbs with no trailing
+//! zero limbs plus a [`Sign`] (zero is the empty limb vector with
+//! [`Sign::Zero`]).  Boxing the heap form keeps a `BigInt` two words wide
+//! (16 bytes, a `BigRational` 32), so the coefficient rows the analysis
+//! moves around stay small; the rare overflow value pays one pointer hop.
 //! Almost every coefficient the CHORA analysis manipulates fits in a word,
 //! so all arithmetic first tries a checked-`i64` fast path, *promotes* to the
 //! heap form only when a result overflows, and *demotes* heap results that
@@ -68,8 +71,17 @@ pub struct BigInt {
 enum Repr {
     /// Inline machine-word form; the common case, never allocates.
     Small(i64),
-    /// Little-endian 32-bit limbs, no trailing zeros; `Sign::Zero` iff empty.
-    Heap(Sign, Vec<u32>),
+    /// The overflow form, boxed so the enum stays two words wide.
+    Heap(Box<HeapInt>),
+}
+
+/// Sign–magnitude limbs of a heap-form [`BigInt`].
+#[derive(Clone)]
+struct HeapInt {
+    /// `Sign::Zero` iff `mag` is empty.
+    sign: Sign,
+    /// Little-endian 32-bit limbs, no trailing zeros.
+    mag: Vec<u32>,
 }
 
 /// The (at most two) limbs of an `i64` magnitude, stack-allocated.
@@ -131,15 +143,25 @@ impl BigInt {
         BigInt::make_small(1)
     }
 
+    /// Builds the heap form from already-trimmed limbs (no demotion).
+    #[inline]
+    fn heap(sign: Sign, mag: Vec<u32>) -> BigInt {
+        BigInt {
+            repr: Repr::Heap(Box::new(HeapInt { sign, mag })),
+        }
+    }
+
+    /// The heap form of an `i64`, however small.
+    fn heap_of_i64(v: i64) -> BigInt {
+        BigInt::heap(Sign::of_i64(v), SmallLimbs::of(v).as_slice().to_vec())
+    }
+
     /// Builds the inline form — or, under the benchmarking forced-heap mode,
     /// the equivalent heap form.
     #[inline]
     fn make_small(v: i64) -> BigInt {
         if crate::stats::force_heap() {
-            let limbs = SmallLimbs::of(v);
-            return BigInt {
-                repr: Repr::Heap(Sign::of_i64(v), limbs.as_slice().to_vec()),
-            };
+            return BigInt::heap_of_i64(v);
         }
         BigInt {
             repr: Repr::Small(v),
@@ -163,12 +185,7 @@ impl BigInt {
     /// still demote as usual).
     pub fn forced_heap(&self) -> BigInt {
         match &self.repr {
-            Repr::Small(v) => {
-                let limbs = SmallLimbs::of(*v);
-                BigInt {
-                    repr: Repr::Heap(Sign::of_i64(*v), limbs.as_slice().to_vec()),
-                }
-            }
+            Repr::Small(v) => BigInt::heap_of_i64(*v),
             Repr::Heap(..) => self.clone(),
         }
     }
@@ -178,7 +195,7 @@ impl BigInt {
     pub fn is_zero(&self) -> bool {
         match &self.repr {
             Repr::Small(v) => *v == 0,
-            Repr::Heap(sign, _) => *sign == Sign::Zero,
+            Repr::Heap(h) => h.sign == Sign::Zero,
         }
     }
 
@@ -187,7 +204,7 @@ impl BigInt {
     pub fn is_one(&self) -> bool {
         match &self.repr {
             Repr::Small(v) => *v == 1,
-            Repr::Heap(sign, mag) => *sign == Sign::Positive && mag.as_slice() == [1],
+            Repr::Heap(h) => h.sign == Sign::Positive && h.mag == [1],
         }
     }
 
@@ -196,7 +213,7 @@ impl BigInt {
     pub fn sign(&self) -> Sign {
         match &self.repr {
             Repr::Small(v) => Sign::of_i64(*v),
-            Repr::Heap(sign, _) => *sign,
+            Repr::Heap(h) => h.sign,
         }
     }
 
@@ -221,16 +238,14 @@ impl BigInt {
                 // |i64::MIN| = 2^63 does not fit in i64.
                 None => BigInt::from_i128(-(i64::MIN as i128)),
             },
-            Repr::Heap(sign, mag) => BigInt {
-                repr: Repr::Heap(
-                    if *sign == Sign::Negative {
-                        Sign::Positive
-                    } else {
-                        *sign
-                    },
-                    mag.clone(),
-                ),
-            },
+            Repr::Heap(h) => BigInt::heap(
+                if h.sign == Sign::Negative {
+                    Sign::Positive
+                } else {
+                    h.sign
+                },
+                h.mag.clone(),
+            ),
         }
     }
 
@@ -239,7 +254,7 @@ impl BigInt {
     fn parts(&self) -> (Sign, LimbView<'_>) {
         match &self.repr {
             Repr::Small(v) => (Sign::of_i64(*v), LimbView::Inline(SmallLimbs::of(*v))),
-            Repr::Heap(sign, mag) => (*sign, LimbView::Slice(mag)),
+            Repr::Heap(h) => (h.sign, LimbView::Slice(&h.mag)),
         }
     }
 
@@ -260,9 +275,7 @@ impl BigInt {
             }
         }
         let sign = if mag.is_empty() { Sign::Zero } else { sign };
-        BigInt {
-            repr: Repr::Heap(sign, mag),
-        }
+        BigInt::heap(sign, mag)
     }
 
     /// Builds from an `i128` (covers every possible overflow of an
@@ -302,9 +315,9 @@ impl BigInt {
     pub fn bit_len(&self) -> usize {
         match &self.repr {
             Repr::Small(v) => (64 - v.unsigned_abs().leading_zeros()) as usize,
-            Repr::Heap(_, mag) => match mag.last() {
+            Repr::Heap(h) => match h.mag.last() {
                 None => 0,
-                Some(&top) => (mag.len() - 1) * 32 + (32 - top.leading_zeros() as usize),
+                Some(&top) => (h.mag.len() - 1) * 32 + (32 - top.leading_zeros() as usize),
             },
         }
     }
@@ -572,15 +585,15 @@ impl BigInt {
     pub fn to_i64(&self) -> Option<i64> {
         match &self.repr {
             Repr::Small(v) => Some(*v),
-            Repr::Heap(sign, mag) => {
-                if mag.len() > 2 {
+            Repr::Heap(h) => {
+                if h.mag.len() > 2 {
                     return None;
                 }
                 let mut v: u64 = 0;
-                for (i, &limb) in mag.iter().enumerate() {
+                for (i, &limb) in h.mag.iter().enumerate() {
                     v |= (limb as u64) << (32 * i);
                 }
-                match sign {
+                match h.sign {
                     Sign::Zero => Some(0),
                     Sign::Positive => {
                         if v <= i64::MAX as u64 {
@@ -605,12 +618,12 @@ impl BigInt {
     pub fn to_f64(&self) -> f64 {
         match &self.repr {
             Repr::Small(v) => *v as f64,
-            Repr::Heap(sign, mag) => {
+            Repr::Heap(h) => {
                 let mut v = 0.0f64;
-                for &limb in mag.iter().rev() {
+                for &limb in h.mag.iter().rev() {
                     v = v * 4294967296.0 + limb as f64;
                 }
-                if *sign == Sign::Negative {
+                if h.sign == Sign::Negative {
                     -v
                 } else {
                     v
@@ -743,7 +756,7 @@ impl fmt::Display for BigInt {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let (sign, mag) = match &self.repr {
             Repr::Small(v) => return write!(f, "{v}"),
-            Repr::Heap(sign, mag) => (*sign, mag),
+            Repr::Heap(h) => (h.sign, &h.mag),
         };
         if mag.is_empty() {
             return write!(f, "0");
@@ -841,9 +854,12 @@ impl Neg for BigInt {
                 Some(n) => BigInt::make_small(n),
                 None => BigInt::from_i128(-(i64::MIN as i128)),
             },
-            Repr::Heap(sign, mag) => BigInt {
-                repr: Repr::Heap(sign.flip(), mag),
-            },
+            Repr::Heap(mut h) => {
+                h.sign = h.sign.flip();
+                BigInt {
+                    repr: Repr::Heap(h),
+                }
+            }
         }
     }
 }

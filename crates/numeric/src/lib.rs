@@ -65,4 +65,13 @@ mod tests {
         assert_eq!(ratio(6, 4).to_string(), "3/2");
         assert_eq!(int(-7).to_string(), "-7");
     }
+
+    /// Every coefficient row, polynomial term and atom embeds these types,
+    /// and Fourier–Motzkin moves rows at every step: the boxed heap form
+    /// keeps a `BigInt` two words wide and a `BigRational` four.
+    #[test]
+    fn layout_is_two_and_four_words() {
+        assert_eq!(std::mem::size_of::<BigInt>(), 16);
+        assert_eq!(std::mem::size_of::<BigRational>(), 32);
+    }
 }
