@@ -269,7 +269,13 @@ fn representation_and_parallelism_deltas() {
         jobs: 1,
         ..AnalysisConfig::default()
     });
-    let store = chora_core::MemoryStore::new();
+    let store = chora_core::TieredStore::new(
+        None,
+        chora_core::TieredConfig {
+            cap_bytes: None,
+            ..chora_core::TieredConfig::default()
+        },
+    );
     let cold_started = Instant::now();
     let cold_result = analyzer.analyze_with_store(&program, Some(&store));
     let cache_cold_ms = cold_started.elapsed().as_secs_f64() * 1e3;

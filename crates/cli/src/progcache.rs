@@ -1,140 +1,13 @@
-//! In-memory request caches for the server backend: a parsed-program
-//! cache (source bytes → [`chora_ir::Program`]) and a rendered-response cache
-//! (endpoint + query + source → finished JSON document).
+//! Cache keys of the server backend's request caches: the parsed-program
+//! cache (source bytes → [`chora_ir::Program`]) and the rendered-response
+//! cache (endpoint + query + source → finished JSON document).
 //!
-//! Both are instances of one sharded LRU ([`ShardedLru`]), the in-memory
-//! idiom of the summary store's tiered cache: entries are keyed by a
-//! 128-bit content fingerprint, shards are independent mutexes (so
-//! worker threads rarely contend), recency is a per-shard logical tick,
-//! and a byte-cost cap evicts least-recently-used entries per shard.
-//! Keys are content hashes, so two clients posting the same `.imp`
-//! source share entries — and an edited source simply misses.
+//! Both caches are [`chora_core::ShardedLru`]s, the same sharded LRU that
+//! holds the summary store's memory tier.  Keys are 128-bit content
+//! fingerprints, so two clients posting the same `.imp` source share
+//! entries — and an edited source simply misses.
 
 use chora_ir::{Fingerprint, FingerprintBuilder};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-/// Number of independent shards (a power of two; the shard index is the
-/// key's low bits, which are uniformly mixed by the fingerprint hash).
-const SHARDS: usize = 16;
-
-struct Entry<V> {
-    value: V,
-    cost: u64,
-    last_used: u64,
-}
-
-struct Shard<V> {
-    map: HashMap<u128, Entry<V>>,
-    bytes: u64,
-    tick: u64,
-}
-
-/// A sharded, byte-capped LRU keyed by [`Fingerprint`], with hit/miss
-/// counters for `/v1/stats`.  Values are cloned out on hit, so cheap
-/// handles (`Arc<Program>`, `Arc<str>`) are the intended value types.
-pub struct ShardedLru<V> {
-    shards: Vec<Mutex<Shard<V>>>,
-    /// Byte budget per shard (total budget / `SHARDS`).
-    shard_cap: u64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl<V: Clone> ShardedLru<V> {
-    /// Creates a cache holding at most `max_bytes` of summed entry cost.
-    pub fn new(max_bytes: u64) -> ShardedLru<V> {
-        ShardedLru {
-            shards: (0..SHARDS)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        map: HashMap::new(),
-                        bytes: 0,
-                        tick: 0,
-                    })
-                })
-                .collect(),
-            shard_cap: (max_bytes / SHARDS as u64).max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    fn shard(&self, key: Fingerprint) -> &Mutex<Shard<V>> {
-        &self.shards[key.0 as usize % SHARDS]
-    }
-
-    /// Looks up `key`, refreshing its recency and counting a hit or miss.
-    pub fn get(&self, key: Fingerprint) -> Option<V> {
-        let mut shard = self.shard(key).lock().expect("cache shard");
-        shard.tick += 1;
-        let tick = shard.tick;
-        match shard.map.get_mut(&key.0) {
-            Some(entry) => {
-                entry.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry.value.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Inserts `value` with an explicit byte cost, evicting the shard's
-    /// least-recently-used entries until it fits.  An entry larger than a
-    /// whole shard is simply not cached.
-    pub fn put(&self, key: Fingerprint, value: V, cost: u64) {
-        if cost > self.shard_cap {
-            return;
-        }
-        let mut shard = self.shard(key).lock().expect("cache shard");
-        shard.tick += 1;
-        let tick = shard.tick;
-        if let Some(old) = shard.map.insert(
-            key.0,
-            Entry {
-                value,
-                cost,
-                last_used: tick,
-            },
-        ) {
-            shard.bytes -= old.cost;
-        }
-        shard.bytes += cost;
-        while shard.bytes > self.shard_cap {
-            let oldest = shard
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
-                .expect("non-empty shard over its cap");
-            if let Some(evicted) = shard.map.remove(&oldest) {
-                shard.bytes -= evicted.cost;
-            }
-        }
-    }
-
-    /// Total hits since construction.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Total misses since construction.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Current number of cached entries (a gauge, racy across shards).
-    pub fn entries(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard").map.len() as u64)
-            .sum()
-    }
-}
 
 /// The cache key of a source text (parsed-program cache).
 pub fn source_key(source: &str) -> Fingerprint {
@@ -172,35 +45,6 @@ pub fn response_key(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hits_and_misses_are_counted() {
-        let cache: ShardedLru<String> = ShardedLru::new(1 << 20);
-        let key = source_key("procedure main() {}");
-        assert_eq!(cache.get(key), None);
-        cache.put(key, "doc".to_string(), 3);
-        assert_eq!(cache.get(key).as_deref(), Some("doc"));
-        assert_eq!((cache.hits(), cache.misses(), cache.entries()), (1, 1, 1));
-    }
-
-    #[test]
-    fn the_byte_cap_evicts_least_recently_used_entries() {
-        // One shard's worth of keys: force same-shard keys so the eviction
-        // order is observable.
-        let cache: ShardedLru<u32> = ShardedLru::new(16 * 10);
-        let key = |i: u128| Fingerprint(i * SHARDS as u128); // all in shard 0
-        for i in 0..2 {
-            cache.put(key(i), i as u32, 4);
-        }
-        assert!(cache.get(key(0)).is_some(), "refresh key 0");
-        cache.put(key(2), 2, 4); // 12 bytes > 10: evicts key 1 (LRU), not 0
-        assert_eq!(cache.get(key(1)), None, "LRU entry evicted");
-        assert!(cache.get(key(0)).is_some());
-        assert!(cache.get(key(2)).is_some());
-        // Oversized entries are refused outright.
-        cache.put(key(3), 3, 1 << 20);
-        assert_eq!(cache.get(key(3)), None);
-    }
 
     #[test]
     fn response_keys_ignore_jobs_and_pair_order() {

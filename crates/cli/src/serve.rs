@@ -24,10 +24,11 @@ use crate::driver::{
     render_analysis, BenchOptions, CliError, FileOptions,
 };
 use crate::json::Json;
-use crate::progcache::{response_key, source_key, ShardedLru};
+use crate::progcache::{response_key, source_key};
 use chora_core::{
     entry_key, DiskStore, FlightCounters, ProcedureSummary, RemoteConfig, RemoteStore,
-    ScopeResolver, SingleFlight, StoreStats, SummaryStore, TierCounters, TieredConfig, TieredStore,
+    ScopeResolver, ShardedLru, SingleFlight, StoreStats, SummaryStore, TierCounters, TieredConfig,
+    TieredStore,
 };
 use chora_ir::{Fingerprint, Program};
 use chora_server::client::Client;
@@ -54,6 +55,9 @@ const PARSE_CACHE_BYTES: u64 = 16 << 20;
 
 /// Byte budget of the rendered-response cache.
 const RESPONSE_CACHE_BYTES: u64 = 32 << 20;
+
+/// Independent shards of each request cache.
+const REQUEST_CACHE_SHARDS: usize = 16;
 
 /// Options of `chora serve`.
 #[derive(Clone, Debug)]
@@ -314,8 +318,8 @@ impl AnalysisService {
         };
         Ok(AnalysisService {
             store: ServiceStore::new(tiered),
-            parsed: ShardedLru::new(PARSE_CACHE_BYTES),
-            responses: ShardedLru::new(RESPONSE_CACHE_BYTES),
+            parsed: ShardedLru::new(REQUEST_CACHE_SHARDS, Some(PARSE_CACHE_BYTES), None),
+            responses: ShardedLru::new(REQUEST_CACHE_SHARDS, Some(RESPONSE_CACHE_BYTES), None),
             analysis_jobs: 1,
             maintenance,
         })
@@ -352,14 +356,14 @@ impl AnalysisService {
         source: &str,
     ) -> Result<(Fingerprint, Arc<Program>), String> {
         let key = source_key(source);
-        if let Some(program) = self.parsed.get(key) {
+        if let Some(program) = self.parsed.get(&key) {
             LAST_HIT.with(|hit| hit.set("parse-hit"));
             return Ok((key, program));
         }
         LAST_HIT.with(|hit| hit.set("miss"));
         let program = Arc::new(parse_source(name, source).map_err(|e| e.to_string())?);
         self.parsed
-            .put(key, Arc::clone(&program), source.len() as u64);
+            .put(&key, Arc::clone(&program), source.len() as u64);
         Ok((key, program))
     }
 
@@ -377,13 +381,13 @@ impl AnalysisService {
     ) -> Result<String, String> {
         let (src, program) = self.parse_cached(name, source)?;
         let key = response_key(endpoint.path(), query, src);
-        if let Some(doc) = self.responses.get(key) {
+        if let Some(doc) = self.responses.get(&key) {
             LAST_HIT.with(|hit| hit.set("response-hit"));
             return Ok(doc.to_string());
         }
         let out = run(&program)?;
         self.responses
-            .put(key, Arc::from(out.as_str()), out.len() as u64);
+            .put(&key, Arc::from(out.as_str()), out.len() as u64);
         Ok(out)
     }
 
@@ -662,7 +666,7 @@ impl AnalysisBackend for AnalysisService {
                 element_query.push(("proc".to_string(), proc.clone()));
             }
             let key = response_key(Endpoint::Analyze.path(), &element_query, src);
-            if let Some(doc) = self.responses.get(key) {
+            if let Some(doc) = self.responses.get(&key) {
                 rendered[i] = Some(doc.to_string());
                 continue;
             }
@@ -689,7 +693,7 @@ impl AnalysisBackend for AnalysisService {
                 ) {
                     Ok((out, _exit)) => {
                         self.responses
-                            .put(key, Arc::from(out.as_str()), out.len() as u64);
+                            .put(&key, Arc::from(out.as_str()), out.len() as u64);
                         rendered[i] = Some(out);
                     }
                     Err(e) => rendered[i] = Some(error_envelope(&e.to_string())),
@@ -765,10 +769,10 @@ impl AnalysisBackend for AnalysisService {
             ("singleflight_refused", flight.refused),
             ("parse_hits", self.parsed.hits()),
             ("parse_misses", self.parsed.misses()),
-            ("parse_entries", self.parsed.entries()),
+            ("parse_entries", self.parsed.usage().0),
             ("response_hits", self.responses.hits()),
             ("response_misses", self.responses.misses()),
-            ("response_entries", self.responses.entries()),
+            ("response_entries", self.responses.usage().0),
         ]);
         pairs
     }

@@ -1098,7 +1098,7 @@ pub fn return_symbol() -> Symbol {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::MemoryStore;
+    use crate::store::testutil::memory_store;
     use chora_ir::{Cond, Expr};
 
     /// hanoi-shaped recursive cost model plus a non-recursive helper chain.
@@ -1152,7 +1152,7 @@ mod tests {
         let program = cached_program(1);
         let analyzer = Analyzer::new();
         let plain = analyzer.analyze(&program);
-        let store = MemoryStore::new();
+        let store = memory_store();
         let cold = analyzer.analyze_with_store(&program, Some(&store));
         assert_eq!(cold.cache.hits, 0);
         assert_eq!(cold.cache.misses, 3);
@@ -1170,7 +1170,7 @@ mod tests {
     #[test]
     fn editing_a_leaf_resummarizes_only_the_dirty_cone() {
         let analyzer = Analyzer::new();
-        let store = MemoryStore::new();
+        let store = memory_store();
         let _ = analyzer.analyze_with_store(&cached_program(1), Some(&store));
         // Edit `leaf` (a single constant): `leaf` and its caller `main` are
         // dirty, the independent `hanoi` component stays cached.
@@ -1184,7 +1184,7 @@ mod tests {
     #[test]
     fn prepending_a_procedure_keeps_every_existing_component_warm() {
         let analyzer = Analyzer::new();
-        let store = MemoryStore::new();
+        let store = memory_store();
         let cold = analyzer.analyze_with_store(&cached_program(1), Some(&store));
         assert_eq!(cold.cache.misses, 3);
         // The same three procedures, with an unrelated one slotted in
@@ -1260,7 +1260,7 @@ mod tests {
             prog
         };
         let analyzer = Analyzer::new();
-        let store = MemoryStore::new();
+        let store = memory_store();
         let cold = analyzer.analyze_with_store(&build(false), Some(&store));
         assert_eq!(cold.cache.misses, 3);
         // The summaries really do carry fresh symbols (the quotient), or
@@ -1311,7 +1311,7 @@ mod tests {
     #[test]
     fn a_batch_shares_the_store_across_its_members() {
         let analyzer = Analyzer::new();
-        let store = MemoryStore::new();
+        let store = memory_store();
         let a = cached_program(1);
         let b = cached_program(5);
         // Cold batch: all probes of a round happen before the round's
@@ -1336,7 +1336,7 @@ mod tests {
     #[test]
     fn config_change_invalidates_the_cache() {
         let program = cached_program(1);
-        let store = MemoryStore::new();
+        let store = memory_store();
         let _ = Analyzer::new().analyze_with_store(&program, Some(&store));
         let ablated = Analyzer::with_config(AnalysisConfig {
             enable_depth_bounds: false,

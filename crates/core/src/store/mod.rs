@@ -8,33 +8,29 @@
 //!
 //! # Architecture
 //!
-//! Stores come in two shapes.  [`SummaryStore`] is the driver-facing trait
-//! (decoded summaries in, decoded summaries out); [`StoreTier`] is the
-//! *composable* layer underneath it — one cache level that moves validated
-//! serialized entries.  Tiers compose with the generic [`Layered`]
-//! combinator, which probes its near tier first, falls back to the far
-//! tier, and applies explicit **promote-on-hit** (far hits are copied into
-//! the near tier, with their true age) and **write-through** (stores land
-//! in every tier) policies.  Each tier reports a uniform [`StoreStats`]
-//! snapshot.
+//! [`SummaryStore`] is the driver-facing trait (decoded summaries in,
+//! decoded summaries out), and every store reports one uniform
+//! [`StoreStats`] row per tier.
 //!
-//! The concrete tiers:
+//! [`TieredStore`] is the store the daemon and the CLI use: an L1 memory
+//! tier over an optional L2 disk tier over an optional L3 remote tier.
+//! It probes them in that order, promotes hits toward the front (with the
+//! entry's true age), and writes stores through to every tier.
 //!
-//! * [`MemTier`] — a sharded, byte-capped, LRU-evicting in-memory map.
-//! * [`DiskTier`] — a [`DiskStore`] (one file per key under a versioned
+//! * The memory tier is a [`ShardedLru`] — the workspace's one sharded,
+//!   byte-capped, LRU-evicting in-memory cache — of validated serialized
+//!   entries.  A `TieredStore` with no other tier is the plain in-memory
+//!   store.
+//! * The disk tier is a [`DiskStore`] (one file per key under a versioned
 //!   cache directory) plus age expiry.
-//! * [`RemoteStore`] — a network tier speaking `GET`/`PUT
-//!   /v1/summaries/{keyhex}` against one or more `chora serve` daemons
-//!   (chosen per key by rendezvous hashing), with a per-target circuit
-//!   breaker so a dead peer degrades to the local tiers.
+//! * [`RemoteStore`] speaks `GET`/`PUT /v1/summaries/{keyhex}` against one
+//!   or more `chora serve` daemons (chosen per key by rendezvous hashing),
+//!   with a per-target circuit breaker so a dead peer degrades to the
+//!   local tiers.
 //!
-//! [`TieredStore`] is the standard composition — L1 memory over optional
-//! L2 disk over optional L3 remote — and [`SingleFlight`] wraps any
-//! [`SummaryStore`] to coalesce concurrent misses on the same key, so a
-//! thundering herd on a cold cone computes it once.
-//!
-//! Simple standalone backends remain for tests and tools: [`MemoryStore`]
-//! (a plain map) and [`DiskStore`] used directly.
+//! [`SingleFlight`] wraps any [`SummaryStore`] to coalesce concurrent
+//! misses on the same key, so a thundering herd on a cold cone computes it
+//! once.  A bare [`DiskStore`] also serves as a store on its own.
 
 use crate::analysis::ProcedureSummary;
 use crate::cache::ScopeResolver;
@@ -42,18 +38,16 @@ use chora_ir::Fingerprint;
 use std::fmt;
 
 mod disk;
-pub mod layered;
-mod mem;
+mod lru;
 mod remote;
 mod singleflight;
 mod tiered;
 
 pub use disk::DiskStore;
-pub use layered::{Layered, StoreTier, TierHit};
-pub use mem::MemTier;
+pub use lru::ShardedLru;
 pub use remote::{RemoteConfig, RemoteStore};
 pub use singleflight::{FlightCounters, SingleFlight};
-pub use tiered::{DiskTier, TierCounters, TieredConfig, TieredStore};
+pub use tiered::{TierCounters, TieredConfig, TieredStore};
 
 /// Counters reported by a cache-backed analysis run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -179,85 +173,6 @@ pub(crate) fn load_histogram(tier: &'static str) -> &'static chora_telemetry::me
     )
 }
 
-/// An in-memory store keyed by fingerprint, holding serialized entries.
-#[derive(Default)]
-pub struct MemoryStore {
-    entries: std::sync::Mutex<std::collections::HashMap<Fingerprint, String>>,
-    hits: std::sync::atomic::AtomicU64,
-    misses: std::sync::atomic::AtomicU64,
-    stored: std::sync::atomic::AtomicU64,
-    evicted: std::sync::atomic::AtomicU64,
-}
-
-impl MemoryStore {
-    /// An empty store.
-    pub fn new() -> MemoryStore {
-        MemoryStore::default()
-    }
-
-    /// Number of cached entries.
-    pub fn len(&self) -> usize {
-        self.entries.lock().expect("memory store lock").len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl SummaryStore for MemoryStore {
-    fn load(&self, key: &Fingerprint, scopes: &dyn ScopeResolver) -> Option<Vec<ProcedureSummary>> {
-        use std::sync::atomic::Ordering;
-        let Some(text) = self
-            .entries
-            .lock()
-            .expect("memory store lock")
-            .get(key)
-            .cloned()
-        else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        };
-        match crate::cache::decode_entry(&text, key, scopes) {
-            Some(summaries) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(summaries)
-            }
-            None => {
-                self.entries.lock().expect("memory store lock").remove(key);
-                self.evicted.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    fn store(&self, key: &Fingerprint, summaries: &[ProcedureSummary], scopes: &dyn ScopeResolver) {
-        use std::sync::atomic::Ordering;
-        let Some(encoded) = crate::cache::encode_entry(key, summaries, scopes) else {
-            return;
-        };
-        self.entries
-            .lock()
-            .expect("memory store lock")
-            .insert(*key, encoded);
-        self.stored.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn stats(&self) -> Vec<StoreStats> {
-        use std::sync::atomic::Ordering;
-        vec![StoreStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            stores: self.stored.load(Ordering::Relaxed),
-            corrupt_evictions: self.evicted.load(Ordering::Relaxed),
-            entries: self.len() as u64,
-            ..StoreStats::named("memory")
-        }]
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod testutil {
     use super::*;
@@ -272,6 +187,17 @@ pub(crate) mod testutil {
             depth: None,
             recursive: false,
         }
+    }
+
+    /// A memory-only store with no byte cap.
+    pub fn memory_store() -> TieredStore {
+        TieredStore::new(
+            None,
+            TieredConfig {
+                cap_bytes: None,
+                ..TieredConfig::default()
+            },
+        )
     }
 
     pub fn temp_dir(tag: &str) -> PathBuf {
@@ -324,39 +250,29 @@ mod tests {
 
     #[test]
     fn unrescopable_loads_count_as_corruption_evictions_not_panics() {
-        for (store, name) in [
-            (
-                Box::new(MemoryStore::new()) as Box<dyn SummaryStore>,
-                "memory",
-            ),
-            (
-                Box::new(TieredStore::new(None, TieredConfig::default())) as Box<dyn SummaryStore>,
-                "tiered",
-            ),
-        ] {
-            let key = Fingerprint(0xc0ffee);
-            store.store(&key, &[fresh_summary()], &OneScope);
-            assert!(
-                store.load(&key, &OneScope).is_some(),
-                "{name}: rescopable entry must hit"
-            );
-            assert_eq!(corrupt_total(store.as_ref()), 0, "{name}");
-            // This "run" has no component behind the recorded key: the
-            // fresh symbol cannot be rescoped — evict, never panic.
-            assert!(
-                store.load(&key, &NullScopes).is_none(),
-                "{name}: unrescopable entry must miss"
-            );
-            assert_eq!(
-                corrupt_total(store.as_ref()),
-                1,
-                "{name}: the discard must count as a corruption eviction"
-            );
-            // The slot is reusable afterwards.
-            assert!(store.load(&key, &OneScope).is_none(), "{name}");
-            store.store(&key, &[fresh_summary()], &OneScope);
-            assert!(store.load(&key, &OneScope).is_some(), "{name}");
-        }
+        let store = memory_store();
+        let key = Fingerprint(0xc0ffee);
+        store.store(&key, &[fresh_summary()], &OneScope);
+        assert!(
+            store.load(&key, &OneScope).is_some(),
+            "rescopable entry must hit"
+        );
+        assert_eq!(corrupt_total(&store), 0);
+        // This "run" has no component behind the recorded key: the fresh
+        // symbol cannot be rescoped — evict, never panic.
+        assert!(
+            store.load(&key, &NullScopes).is_none(),
+            "unrescopable entry must miss"
+        );
+        assert_eq!(
+            corrupt_total(&store),
+            1,
+            "the discard must count as a corruption eviction"
+        );
+        // The slot is reusable afterwards.
+        assert!(store.load(&key, &OneScope).is_none());
+        store.store(&key, &[fresh_summary()], &OneScope);
+        assert!(store.load(&key, &OneScope).is_some());
         // Same through a disk store, where the entry file must also be gone.
         let root = temp_dir("rescope-evict");
         let store = DiskStore::open(&root).expect("open");
@@ -373,7 +289,7 @@ mod tests {
 
     #[test]
     fn memory_store_round_trips() {
-        let store = MemoryStore::new();
+        let store = memory_store();
         let key = Fingerprint(7);
         assert!(store.load(&key, &NullScopes).is_none());
         store.store(&key, &[summary("f"), summary("g")], &NullScopes);

@@ -8,8 +8,8 @@
 //! rendezvous hashing: each key deterministically picks one owner, so the
 //! fleet shares one logical cache without coordination.
 
-use super::layered::{StoreTier, TierHit};
 use super::{load_histogram, StoreStats};
+use crate::analysis::ProcedureSummary;
 use crate::cache::{decode_entry, ScopeResolver};
 use chora_ir::Fingerprint;
 use chora_server::client::{Client, ClientConfig};
@@ -78,14 +78,14 @@ impl Target {
 /// The L3 tier: a peer daemon (or static set of daemons) holding the
 /// fleet's shared summary cache.
 ///
-/// * `load` asks the key's owner for the entry and validates the response
+/// * A load asks the key's owner for the entry and validates the response
 ///   exactly as a disk read would (corrupt payloads are counted, never
 ///   trusted) — a hit carries the raw text upward so nearer tiers adopt it.
-/// * `store` publishes write-through, tagged with the source program's
+/// * A store publishes write-through, tagged with the source program's
 ///   fingerprint so the cache daemon can attribute cross-program reuse.
-/// * `load_text` is structurally `None`: a daemon serving
-///   `/v1/summaries/{key}` consults only its local tiers, so daemons
-///   pointing at each other can never forward a request in a loop.
+/// * A daemon serving `/v1/summaries/{key}` consults only its local tiers
+///   ([`super::TieredStore::load_local_text`] never asks this one), so
+///   daemons pointing at each other can never forward a request in a loop.
 /// * Unreachable targets trip a per-target circuit breaker: the analysis
 ///   proceeds on the local tiers and the skip is counted, not retried in
 ///   the hot path.
@@ -235,8 +235,14 @@ fn rendezvous_score(addr: &str, key: &Fingerprint) -> u64 {
     hash
 }
 
-impl StoreTier for RemoteStore {
-    fn load(&self, key: &Fingerprint, scopes: &dyn ScopeResolver) -> Option<TierHit> {
+impl RemoteStore {
+    /// The decoded summaries under `key` from its owner, with the raw
+    /// text for adoption into the local tiers.
+    pub(super) fn load(
+        &self,
+        key: &Fingerprint,
+        scopes: &dyn ScopeResolver,
+    ) -> Option<(String, Vec<ProcedureSummary>)> {
         let Some(target) = self.owner(key) else {
             self.skipped.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -250,12 +256,7 @@ impl StoreTier for RemoteStore {
             Ok((200, body)) => match decode_entry(&body, key, scopes) {
                 Some(summaries) => {
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    Some(TierHit {
-                        summaries,
-                        // No age: the fleet entry was just vended, let the
-                        // local tiers age it from now.
-                        promote: Some((body, None)),
-                    })
+                    Some((body, summaries))
                 }
                 None => {
                     self.corrupt.fetch_add(1, Ordering::Relaxed);
@@ -280,13 +281,8 @@ impl StoreTier for RemoteStore {
         result
     }
 
-    fn store(
-        &self,
-        key: &Fingerprint,
-        text: &str,
-        _age: Option<Duration>,
-        scopes: &dyn ScopeResolver,
-    ) {
+    /// Publishes an encoded entry to the owner of `key`.
+    pub(super) fn store(&self, key: &Fingerprint, text: &str, scopes: &dyn ScopeResolver) {
         let Some(target) = self.owner(key) else {
             self.skipped.fetch_add(1, Ordering::Relaxed);
             return;
@@ -305,15 +301,9 @@ impl StoreTier for RemoteStore {
         }
     }
 
-    /// Always `None`: a daemon answering `/v1/summaries/{key}` must serve
-    /// from its *local* tiers only, or two daemons configured as each
-    /// other's remote would bounce a missing key back and forth.
-    fn load_text(&self, _key: &Fingerprint) -> Option<String> {
-        None
-    }
-
-    fn append_stats(&self, out: &mut Vec<StoreStats>) {
-        out.push(StoreStats {
+    /// This tier's statistics row.
+    pub(super) fn stats(&self) -> StoreStats {
+        StoreStats {
             hits: self.hits(),
             misses: self.misses(),
             stores: self.stores(),
@@ -321,7 +311,7 @@ impl StoreTier for RemoteStore {
             errors: self.errors(),
             skipped: self.skipped(),
             ..StoreStats::named("remote")
-        });
+        }
     }
 }
 

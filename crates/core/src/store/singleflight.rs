@@ -230,8 +230,7 @@ impl<S: SummaryStore> SummaryStore for SingleFlight<S> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::summary;
-    use super::super::MemoryStore;
+    use super::super::testutil::{memory_store, summary};
     use super::*;
     use crate::cache::NullScopes;
 
@@ -264,7 +263,7 @@ mod tests {
     #[test]
     fn thundering_herd_computes_once_and_everyone_adopts() {
         const HERD: usize = 8;
-        let flight = SingleFlight::new(MemoryStore::new());
+        let flight = SingleFlight::new(memory_store());
         let key = Fingerprint(0x5eed);
         // The main thread misses first and takes the lease.
         assert!(flight.load(&key, &NullScopes).is_none());
@@ -304,7 +303,7 @@ mod tests {
         // The fold-deferred store pattern: within one run, the second miss
         // on a leased key must proceed (its own fold stores it once), not
         // wait on a store that cannot happen yet.
-        let flight = SingleFlight::new(MemoryStore::new());
+        let flight = SingleFlight::new(memory_store());
         let key = Fingerprint(0xabc);
         let run = Grouped(7);
         assert!(flight.load(&key, &run).is_none(), "leader");
@@ -319,7 +318,7 @@ mod tests {
     fn a_group_holding_a_lease_refuses_to_wait_on_another() {
         // Run A leases k1; run B leases k2 and then misses k1.  B waiting
         // on A could deadlock if A were symmetric — B must refuse.
-        let flight = SingleFlight::new(MemoryStore::new());
+        let flight = SingleFlight::new(memory_store());
         let (k1, k2) = (Fingerprint(1), Fingerprint(2));
         let (run_a, run_b) = (Grouped(1), Grouped(2));
         assert!(flight.load(&k1, &run_a).is_none());
@@ -339,7 +338,7 @@ mod tests {
 
     #[test]
     fn waits_are_time_bounded() {
-        let flight = SingleFlight::with_wait_timeout(MemoryStore::new(), Duration::from_millis(30));
+        let flight = SingleFlight::with_wait_timeout(memory_store(), Duration::from_millis(30));
         let key = Fingerprint(3);
         assert!(flight.load(&key, &NullScopes).is_none(), "leader");
         // Group 0 is always wait-eligible, even against itself: the second
@@ -353,7 +352,7 @@ mod tests {
 
     #[test]
     fn stale_leases_are_stolen() {
-        let flight = SingleFlight::with_wait_timeout(MemoryStore::new(), Duration::from_millis(10));
+        let flight = SingleFlight::with_wait_timeout(memory_store(), Duration::from_millis(10));
         let key = Fingerprint(4);
         assert!(flight.load(&key, &NullScopes).is_none(), "leader");
         // 3× the wait bound with no store: the leader is presumed dead.
@@ -367,7 +366,7 @@ mod tests {
 
     #[test]
     fn hits_bypass_the_flight_machinery() {
-        let flight = SingleFlight::new(MemoryStore::new());
+        let flight = SingleFlight::new(memory_store());
         let key = Fingerprint(5);
         flight.store(&key, &[summary("f")], &NullScopes);
         assert!(flight.load(&key, &NullScopes).is_some());

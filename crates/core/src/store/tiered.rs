@@ -1,14 +1,12 @@
-//! The standard store stack: memory in front of disk in front of an
-//! optional remote fleet cache, packaged behind the historical
-//! [`TieredStore`] API.
+//! The summary store stack: memory in front of optional disk in front of
+//! an optional remote fleet cache.
 
 use super::disk::DiskStore;
-use super::layered::{Layered, StoreTier, TierHit};
-use super::mem::MemTier;
+use super::lru::ShardedLru;
 use super::remote::RemoteStore;
 use super::{load_histogram, StoreStats, SummaryStore};
 use crate::analysis::ProcedureSummary;
-use crate::cache::{encode_entry, NullScopes, ScopeResolver};
+use crate::cache::{decode_entry, encode_entry, ScopeResolver};
 use chora_ir::Fingerprint;
 use chora_telemetry::metrics::Histogram;
 use std::path::Path;
@@ -40,11 +38,11 @@ impl Default for TieredConfig {
     }
 }
 
-/// The disk level of a layered stack: wraps a [`DiskStore`] with the
-/// stack's age limit, so expired entries are removed on sight instead of
-/// served, and reports the entry's on-disk age upward so promotion into
+/// The disk level of a [`TieredStore`]: a [`DiskStore`] plus the stack's
+/// age limit, so expired entries are removed on sight instead of served,
+/// and the entry's on-disk age is reported upward so promotion into
 /// memory never extends a lifetime.
-pub struct DiskTier {
+struct DiskTier {
     store: DiskStore,
     max_age: Option<Duration>,
     hits: AtomicU64,
@@ -55,8 +53,7 @@ pub struct DiskTier {
 }
 
 impl DiskTier {
-    /// Wraps an open disk store with an expiry limit.
-    pub fn new(store: DiskStore, max_age: Option<Duration>) -> DiskTier {
+    fn new(store: DiskStore, max_age: Option<Duration>) -> DiskTier {
         DiskTier {
             store,
             max_age,
@@ -68,29 +65,25 @@ impl DiskTier {
         }
     }
 
-    /// The wrapped disk store.
-    pub fn store(&self) -> &DiskStore {
-        &self.store
-    }
-
-    /// Loads this tier answered.
-    pub fn hits(&self) -> u64 {
+    fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Loads this tier was probed for but could not answer.
-    pub fn misses(&self) -> u64 {
+    fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Entries removed because they outlived the age limit.
-    pub fn age_evictions(&self) -> u64 {
+    fn age_evictions(&self) -> u64 {
         self.age_evictions.load(Ordering::Relaxed)
     }
-}
 
-impl StoreTier for DiskTier {
-    fn load(&self, key: &Fingerprint, scopes: &dyn ScopeResolver) -> Option<TierHit> {
+    /// The decoded summaries under `key`, with the validated text and the
+    /// entry's age for promotion into memory.
+    fn load(
+        &self,
+        key: &Fingerprint,
+        scopes: &dyn ScopeResolver,
+    ) -> Option<(String, Vec<ProcedureSummary>, Option<Duration>)> {
         let started = Instant::now();
         let result = match self.store.load_validated(key, scopes) {
             Some((_, _, Some(age))) if self.max_age.is_some_and(|limit| age > limit) => {
@@ -98,38 +91,26 @@ impl StoreTier for DiskTier {
                 self.age_evictions.fetch_add(1, Ordering::Relaxed);
                 None
             }
-            Some((text, summaries, age)) => Some(TierHit {
-                summaries,
-                promote: Some((text, age)),
-            }),
-            None => None,
+            hit => hit,
         };
-        match &result {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
+        let counter = if result.is_some() {
+            &self.hits
+        } else {
+            &self.misses
         };
+        counter.fetch_add(1, Ordering::Relaxed);
         self.load_hist
             .observe_ms(started.elapsed().as_secs_f64() * 1e3);
         result
     }
 
-    fn store(
-        &self,
-        key: &Fingerprint,
-        text: &str,
-        _age: Option<Duration>,
-        _scopes: &dyn ScopeResolver,
-    ) {
+    fn store(&self, key: &Fingerprint, text: &str) {
         self.store.store_encoded(key, text);
         self.stored.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn load_text(&self, key: &Fingerprint) -> Option<String> {
-        self.store.load_text(key)
-    }
-
-    fn append_stats(&self, out: &mut Vec<StoreStats>) {
-        out.push(StoreStats {
+    fn stats(&self) -> StoreStats {
+        StoreStats {
             hits: self.hits(),
             misses: self.misses(),
             stores: self.stored.load(Ordering::Relaxed),
@@ -141,7 +122,7 @@ impl StoreTier for DiskTier {
             evicted_bytes: self.store.removed_bytes(),
             bytes: self.store.disk_bytes(),
             ..StoreStats::named("disk")
-        });
+        }
     }
 }
 
@@ -177,18 +158,26 @@ pub struct TierCounters {
     pub mem_bytes: u64,
 }
 
-/// The standard layered store: L1 memory, L2 disk (optional), L3 remote
-/// fleet cache (optional), composed from [`Layered`] with promote-on-hit
-/// and write-through on at every level.
+/// The summary store stack: L1 memory, L2 disk (optional), L3 remote
+/// fleet cache (optional).
 ///
-/// This type is a thin adapter: the tier mechanics live in [`MemTier`],
-/// [`DiskTier`], and [`RemoteStore`]; `TieredStore` encodes/decodes at the
-/// [`SummaryStore`] boundary, keeps the historical counter snapshot
-/// ([`TierCounters`]), and exposes the local-only raw-entry accessors a
-/// summary server needs.
+/// * A load probes memory, then disk, then remote.  A disk hit is copied
+///   into memory with the entry's true age; a remote hit is copied into
+///   disk, then memory, aged from now (the fleet just vended it).
+/// * A store writes to memory, then disk, then remote.
+/// * Each tier validates what it serves: an entry that fails to decode is
+///   evicted and counted as corrupt where it lies, and the probe falls
+///   through to the next tier.
+///
+/// The memory tier is a [`ShardedLru`] of serialized entries, byte-capped
+/// and sharded per [`TieredConfig`]; a store without disk or remote is a
+/// plain in-memory store.
 pub struct TieredStore {
-    tiers: Layered<MemTier, Layered<Option<DiskTier>, Option<RemoteStore>>>,
+    mem: ShardedLru<String>,
+    disk: Option<DiskTier>,
+    remote: Option<RemoteStore>,
     config: TieredConfig,
+    mem_load_hist: &'static Histogram,
     misses: AtomicU64,
     stores: AtomicU64,
 }
@@ -213,11 +202,12 @@ impl TieredStore {
         remote: Option<RemoteStore>,
         config: TieredConfig,
     ) -> TieredStore {
-        let mem = MemTier::new(config.shards, config.cap_bytes, config.max_age);
-        let disk = disk.map(|d| DiskTier::new(d, config.max_age));
         TieredStore {
-            tiers: Layered::new(mem, Layered::new(disk, remote)),
+            mem: ShardedLru::new(config.shards, config.cap_bytes, config.max_age),
+            disk: disk.map(|d| DiskTier::new(d, config.max_age)),
+            remote,
             config,
+            mem_load_hist: load_histogram("memory"),
             misses: AtomicU64::new(0),
             stores: AtomicU64::new(0),
         }
@@ -230,12 +220,12 @@ impl TieredStore {
 
     /// The disk tier's backing store, when one is configured.
     pub fn disk(&self) -> Option<&DiskStore> {
-        self.tiers.far.near.as_ref().map(DiskTier::store)
+        self.disk.as_ref().map(|d| &d.store)
     }
 
     /// The remote tier, when one is configured.
     pub fn remote(&self) -> Option<&RemoteStore> {
-        self.tiers.far.far.as_ref()
+        self.remote.as_ref()
     }
 
     /// The sizing/expiry configuration this store resolved to.
@@ -243,13 +233,22 @@ impl TieredStore {
         self.config
     }
 
+    /// Keeps validated serialized bytes in the memory tier, `age` old.
+    fn put_mem(&self, key: &Fingerprint, text: String, age: Option<Duration>) {
+        let cost = text.len() as u64;
+        self.mem.put_aged(key, text, cost, age);
+    }
+
     /// The raw serialized entry under `key` from the *local* tiers only
     /// (memory, then disk) — what this daemon serves to peers asking
-    /// `GET /v1/summaries/{key}`.  The remote tier is structurally mute
-    /// here ([`RemoteStore`] never answers `load_text`), so a ring of
-    /// daemons pointing at each other cannot forward a request in a loop.
+    /// `GET /v1/summaries/{key}`.  The remote tier is never consulted, so
+    /// a ring of daemons pointing at each other cannot forward a request
+    /// in a loop.  Refreshes the entry's recency without counting a
+    /// memory hit or miss.
     pub fn load_local_text(&self, key: &Fingerprint) -> Option<String> {
-        self.tiers.load_text(key)
+        self.mem
+            .get_uncounted(key)
+            .or_else(|| self.disk()?.load_text(key))
     }
 
     /// Adopts an already-encoded entry into the *local* tiers (memory and
@@ -257,15 +256,16 @@ impl TieredStore {
     /// does with an entry uploaded by a peer.  The caller has already
     /// validated the envelope against `key`.
     pub fn store_local_text(&self, key: &Fingerprint, text: &str) {
-        self.tiers.near.store(key, text, None, &NullScopes);
-        self.tiers.far.near.store(key, text, None, &NullScopes);
+        self.put_mem(key, text.to_string(), None);
+        if let Some(disk) = &self.disk {
+            disk.store(key, text);
+        }
     }
 
     /// Snapshot of every counter (cumulative) and gauge (current).
     pub fn counters(&self) -> TierCounters {
-        let mem = &self.tiers.near;
-        let disk = self.tiers.far.near.as_ref();
-        let remote = self.tiers.far.far.as_ref();
+        let mem = &self.mem;
+        let disk = self.disk.as_ref();
         let (mem_entries, mem_bytes) = mem.usage();
         TierCounters {
             mem_hits: mem.hits(),
@@ -275,11 +275,11 @@ impl TieredStore {
             disk_probes: disk.map_or(0, |d| d.hits() + d.misses()),
             lru_evictions: mem.lru_evictions(),
             age_evictions: mem.age_evictions() + disk.map_or(0, DiskTier::age_evictions),
-            corrupt_evictions: mem.corrupt_evictions()
-                + disk.map_or(0, |d| d.store().evictions())
-                + remote.map_or(0, RemoteStore::corrupt),
-            disk_gc_removed: disk.map_or(0, |d| d.store().gc_evictions()),
-            evicted_bytes: mem.evicted_bytes() + disk.map_or(0, |d| d.store().removed_bytes()),
+            corrupt_evictions: mem.rejections()
+                + disk.map_or(0, |d| d.store.evictions())
+                + self.remote.as_ref().map_or(0, RemoteStore::corrupt),
+            disk_gc_removed: disk.map_or(0, |d| d.store.gc_evictions()),
+            evicted_bytes: mem.evicted_bytes() + disk.map_or(0, |d| d.store.removed_bytes()),
             mem_entries,
             mem_bytes,
         }
@@ -289,7 +289,7 @@ impl TieredStore {
     /// memory entries and runs [`DiskStore::gc`] with this store's age and
     /// byte limits.  The remote tier is its owner's to collect.
     pub fn gc(&self) {
-        self.tiers.near.sweep_expired();
+        self.mem.sweep_expired();
         if let Some(disk) = self.disk() {
             disk.gc(self.config.max_age, self.config.cap_bytes);
         }
@@ -298,26 +298,63 @@ impl TieredStore {
 
 impl SummaryStore for TieredStore {
     fn load(&self, key: &Fingerprint, scopes: &dyn ScopeResolver) -> Option<Vec<ProcedureSummary>> {
-        match self.tiers.load(key, scopes) {
-            Some(hit) => Some(hit.summaries),
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        let started = Instant::now();
+        // Decodes from the borrowed entry under the shard lock; an entry
+        // that no longer decodes (memory was scribbled on) is evicted as
+        // corrupt and the probe falls through to disk.
+        let hit = self
+            .mem
+            .get_with(key, |text| decode_entry(text, key, scopes));
+        self.mem_load_hist
+            .observe_ms(started.elapsed().as_secs_f64() * 1e3);
+        if hit.is_some() {
+            return hit;
         }
+        if let Some((text, summaries, age)) = self.disk.as_ref().and_then(|d| d.load(key, scopes)) {
+            self.put_mem(key, text, age);
+            return Some(summaries);
+        }
+        if let Some((text, summaries)) = self.remote.as_ref().and_then(|r| r.load(key, scopes)) {
+            if let Some(disk) = &self.disk {
+                disk.store(key, &text);
+            }
+            self.put_mem(key, text, None);
+            return Some(summaries);
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        None
     }
 
     fn store(&self, key: &Fingerprint, summaries: &[ProcedureSummary], scopes: &dyn ScopeResolver) {
         let Some(encoded) = encode_entry(key, summaries, scopes) else {
             return;
         };
-        self.tiers.store(key, &encoded, None, scopes);
+        self.put_mem(key, encoded.clone(), None);
+        if let Some(disk) = &self.disk {
+            disk.store(key, &encoded);
+        }
+        if let Some(remote) = &self.remote {
+            remote.store(key, &encoded, scopes);
+        }
         self.stores.fetch_add(1, Ordering::Relaxed);
     }
 
     fn stats(&self) -> Vec<StoreStats> {
-        let mut out = Vec::new();
-        self.tiers.append_stats(&mut out);
+        let mem = &self.mem;
+        let (entries, bytes) = mem.usage();
+        let mut out = vec![StoreStats {
+            hits: mem.hits(),
+            misses: mem.misses(),
+            stores: mem.inserts(),
+            corrupt_evictions: mem.rejections(),
+            gc_evictions: mem.lru_evictions() + mem.age_evictions(),
+            evicted_bytes: mem.evicted_bytes(),
+            entries,
+            bytes,
+            ..StoreStats::named("memory")
+        }];
+        out.extend(self.disk.as_ref().map(DiskTier::stats));
+        out.extend(self.remote.as_ref().map(RemoteStore::stats));
         out
     }
 }
