@@ -26,9 +26,9 @@ use crate::driver::{
 use crate::json::Json;
 use crate::progcache::{response_key, source_key};
 use chora_core::{
-    entry_key, DiskStore, FlightCounters, ProcedureSummary, RemoteConfig, RemoteStore,
-    ScopeResolver, ShardedLru, SingleFlight, StoreStats, SummaryStore, TierCounters, TieredConfig,
-    TieredStore,
+    entry_key, total_corrupt_evictions, total_gc_evictions, DiskStore, FlightCounters,
+    ProcedureSummary, RemoteConfig, RemoteStore, ScopeResolver, ShardedLru, SingleFlight,
+    StoreStats, SummaryStore, TierCounters, TieredConfig, TieredStore,
 };
 use chora_ir::{Fingerprint, Program};
 use chora_server::client::Client;
@@ -808,6 +808,7 @@ impl AnalysisBackend for AnalysisService {
     /// cell to borrow).
     fn sync_metrics(&self) {
         let c = self.store.tiered().counters();
+        let stats = self.store.tiered().stats();
         let reg = registry();
         let counters: [(&'static str, &'static str, u64); 11] = [
             (
@@ -833,7 +834,7 @@ impl AnalysisBackend for AnalysisService {
             (
                 "chora_cache_evictions_total",
                 "Store entries evicted for any reason (LRU, age, corruption, GC).",
-                c.lru_evictions + c.age_evictions + c.corrupt_evictions + c.disk_gc_removed,
+                total_corrupt_evictions(&stats) + total_gc_evictions(&stats),
             ),
             (
                 "chora_cache_evicted_bytes_total",

@@ -115,10 +115,9 @@ impl DiskTier {
             misses: self.misses(),
             stores: self.stored.load(Ordering::Relaxed),
             corrupt_evictions: self.store.evictions(),
-            // Age expiries both remove the file (counted by the store's GC
-            // counter) and are counted here — kept additive so the
-            // cross-tier total matches the historical trait-method total.
-            gc_evictions: self.age_evictions() + self.store.gc_evictions(),
+            // Age expiries remove the file, so the store's GC counter
+            // already holds them.
+            gc_evictions: self.store.gc_evictions(),
             evicted_bytes: self.store.removed_bytes(),
             bytes: self.store.disk_bytes(),
             ..StoreStats::named("disk")
@@ -146,7 +145,8 @@ pub struct TierCounters {
     pub age_evictions: u64,
     /// Entries discarded as corrupt (any tier).
     pub corrupt_evictions: u64,
-    /// Disk entries removed by [`TieredStore::gc`] passes.
+    /// Disk entries removed by [`TieredStore::gc`] passes, and expired
+    /// disk entries a load removed.
     pub disk_gc_removed: u64,
     /// Total bytes removed from either local tier, for any reason (LRU or
     /// age pressure, corruption, GC) — the churn number `/v1/stats`
@@ -513,6 +513,25 @@ mod tests {
         std::thread::sleep(Duration::from_millis(60));
         store.gc();
         assert_eq!(store.disk().expect("disk tier").disk_bytes(), 0);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_disk_age_expiry_counts_once() {
+        let root = temp_dir("tiered-expiry-once");
+        let config = TieredConfig {
+            cap_bytes: None,
+            max_age: Some(Duration::from_millis(30)),
+            shards: 2,
+        };
+        let key = Fingerprint(51);
+        TieredStore::open(&root, config)
+            .expect("open")
+            .store(&key, &[summary("f")], &NullScopes);
+        std::thread::sleep(Duration::from_millis(60));
+        let store = TieredStore::open(&root, config).expect("open");
+        assert!(store.load(&key, &NullScopes).is_none(), "expired on disk");
+        assert_eq!(super::super::total_gc_evictions(&store.stats()), 1);
         let _ = std::fs::remove_dir_all(&root);
     }
 
