@@ -123,6 +123,61 @@ fn a_warm_peer_answers_every_summary_as_a_remote_hit_byte_identically() {
 }
 
 #[test]
+fn remote_hits_are_promoted_into_disk_and_memory() {
+    let source = std::fs::read_to_string(example("merge-sort.imp")).expect("read example");
+    let file = "merge-sort.imp";
+
+    // Daemon A analyzes the program, filling its local store.
+    let (a_handle, _a_service) = daemon(ServeOptions::default());
+    let a_addr = a_handle.addr().to_string();
+    let (status, from_a) = post_source(&a_addr, file, &source);
+    assert_eq!(status, 200, "{from_a}");
+
+    // Daemon B has A as its remote tier and a disk tier of its own: every
+    // summary it pulls from A must land in both of its local tiers.
+    let dir = std::env::temp_dir().join(format!("chora-fleet-promote-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (b_handle, b_service) = daemon(ServeOptions {
+        remote_cache: Some(a_addr.clone()),
+        cache_dir: Some(dir.display().to_string()),
+        ..ServeOptions::default()
+    });
+    let b_addr = b_handle.addr().to_string();
+    let (status, first) = post_source(&b_addr, file, &source);
+    assert_eq!(status, 200, "{first}");
+    let store = b_service.store();
+    let remote = store.remote().expect("B has a remote tier");
+    let remote_hits = remote.hits();
+    assert!(remote_hits >= 1, "no remote hits recorded");
+    let before = store.counters();
+    assert_eq!(
+        before.mem_entries, remote_hits,
+        "every remote hit must be promoted into memory"
+    );
+    assert!(
+        store.disk().expect("B has a disk tier").disk_bytes() > 0,
+        "remote hits must be promoted into disk"
+    );
+
+    // New bytes miss the parse and response caches, but every cone key is
+    // unchanged: the second analysis is served from B's memory tier alone.
+    let edited = format!("{source}\n// trailing comment\n");
+    let (status, second) = post_source(&b_addr, file, &edited);
+    assert_eq!(status, 200, "{second}");
+    assert_eq!(
+        remote.hits(),
+        remote_hits,
+        "the remote tier was asked again"
+    );
+    assert_eq!(store.counters().mem_hits - before.mem_hits, remote_hits);
+    assert_eq!(strip_timing(&second), strip_timing(&first));
+    assert_eq!(strip_timing(&first), strip_timing(&from_a));
+    b_handle.shutdown();
+    a_handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn an_unreachable_remote_tier_degrades_to_local_analysis() {
     // Nothing listens on port 1; connects fail fast with ECONNREFUSED.
     let (handle, service) = fleet_daemon("127.0.0.1:1");
