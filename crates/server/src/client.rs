@@ -216,18 +216,6 @@ fn is_stale_connection(e: &std::io::Error) -> bool {
     )
 }
 
-/// Sends one request on a throwaway connection and returns
-/// `(status, body)`.
-#[deprecated(note = "use `Client` and reuse the connection across requests")]
-pub fn http_request(
-    addr: &str,
-    method: &str,
-    path_and_query: &str,
-    body: Option<&str>,
-) -> std::io::Result<(u16, String)> {
-    Client::new(addr).send(method, path_and_query, body)
-}
-
 /// Reads one `Content-Length`-framed response off the stream, carrying
 /// unconsumed bytes across calls in `buf`.  Returns
 /// `(status, body, close)` where `close` reports a `Connection: close`
