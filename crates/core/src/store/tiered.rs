@@ -166,8 +166,8 @@ pub struct TierCounters {
 ///   disk, then memory, aged from now (the fleet just vended it).
 /// * A store writes to memory, then disk, then remote.
 /// * Each tier validates what it serves: an entry that fails to decode is
-///   evicted and counted as corrupt where it lies, and the probe falls
-///   through to the next tier.
+///   counted as corrupt at its tier (and evicted from a local one), and
+///   the probe falls through to the next tier.
 ///
 /// The memory tier is a [`ShardedLru`] of serialized entries, byte-capped
 /// and sharded per [`TieredConfig`]; a store without disk or remote is a
