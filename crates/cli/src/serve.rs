@@ -790,6 +790,7 @@ impl AnalysisBackend for AnalysisService {
             ("max_width", fm.max_width),
             ("emptiness_checks", fm.emptiness_checks),
             ("emptiness_memo_hits", fm.emptiness_memo_hits),
+            ("emptiness_witnesses", fm.emptiness_witnesses),
         ]
     }
 

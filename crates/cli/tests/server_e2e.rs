@@ -530,6 +530,7 @@ fn metrics_stats_and_traced_requests_expose_the_telemetry_surface() {
         "chora_fm_rows_generated_total",
         "chora_fm_emptiness_checks_total",
         "chora_fm_emptiness_memo_hits_total",
+        "chora_fm_emptiness_witnesses_total",
         "chora_process_start_time_ms",
     ] {
         assert!(body.contains(needle), "missing `{needle}` in:\n{body}");
@@ -553,6 +554,7 @@ fn metrics_stats_and_traced_requests_expose_the_telemetry_surface() {
         "\"gc\": ",
         "\"evicted_bytes\": ",
         "\"emptiness_memo_hits\": ",
+        "\"emptiness_witnesses\": ",
     ] {
         assert!(stats.contains(field), "missing {field} in:\n{stats}");
     }

@@ -1,10 +1,13 @@
-//! Per-run memo of Fourier–Motzkin emptiness decisions.
+//! Per-run memo of emptiness decisions.
 //!
 //! One analysis run asks "is this conjunction empty?" about the same atom
 //! list many times over: height summarizes each recursive procedure twice,
 //! depth walks the body again, the assertion pass re-summarizes guards and
 //! loops, and `abstract_hull` runs once per candidate term over the same
-//! disjuncts.  Each question costs a full Fourier–Motzkin elimination.
+//! disjuncts.  Each question costs a linearization plus either a simplex
+//! witness search or a full Fourier–Motzkin elimination: `is_empty_set`
+//! tries the witness first and eliminates only when it finds none, and
+//! each negated disjunct of `implies_atom` always eliminates.
 //!
 //! An [`EmptinessMemo`] guard opens a memo on the current thread.  While it
 //! is open, every emptiness decision — [`crate::Polyhedron::is_empty_set`]
@@ -48,7 +51,7 @@ thread_local! {
 /// assert!(!EmptinessMemo::is_open());
 /// {
 ///     let _memo = EmptinessMemo::open();
-///     assert!(!p.is_empty_set()); // decided by Fourier–Motzkin
+///     assert!(!p.is_empty_set()); // decided by a witness point (x = 0)
 ///     assert!(!p.is_empty_set()); // answered from the memo
 /// }
 /// assert!(!EmptinessMemo::is_open());

@@ -11,6 +11,7 @@
 use crate::atom::{Atom, AtomKind};
 use crate::memo;
 use crate::stats::fm_stat;
+use crate::witness;
 use chora_expr::{Fingerprint, FingerprintBuilder, LinearExpr, Monomial, Polynomial, Symbol};
 use chora_numeric::{BigInt, BigRational};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -136,13 +137,24 @@ impl Polyhedron {
 
     /// Whether the polyhedron is unsatisfiable over the rationals.
     ///
-    /// Decided by Fourier–Motzkin elimination of every dimension, or
-    /// answered from the thread's open memo ([`crate::EmptinessMemo`]) when
-    /// the same atom list was decided before in the run.
+    /// Answered from the thread's open memo ([`crate::EmptinessMemo`]) when
+    /// the same atom list was decided before in the run.  Otherwise a
+    /// simplex search for a point satisfying the linearized rows answers
+    /// "non-empty" when it finds one, and Fourier–Motzkin elimination of
+    /// every dimension decides the rest; a witness never contradicts the
+    /// elimination, so the answer is the elimination's own (see
+    /// `witness.rs`).
     pub fn is_empty_set(&self) -> bool {
         memo::decide_empty(
             || emptiness_key(&self.atoms, None),
-            || atoms_unsat(&self.atoms),
+            || match Linearized::new(&self.atoms) {
+                None => true,
+                Some(sys) if witness::has_witness(sys.constraints()) => {
+                    fm_stat!(EMPTINESS_WITNESSES);
+                    false
+                }
+                Some(sys) => sys.is_unsat(),
+            },
         )
     }
 

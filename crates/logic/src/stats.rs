@@ -5,9 +5,10 @@
 //! produces and every row the redundancy-control layers discard —
 //! hash-cons dedup, quasi-syntactic domination, Imbert's acceleration —
 //! plus the early-unsat exits, the widest intermediate system any
-//! elimination step produced, and how many emptiness decisions were made
-//! and how many of them the per-run memo ([`crate::EmptinessMemo`])
-//! answered without eliminating.  The counters are process-wide relaxed
+//! elimination step produced, and how many emptiness decisions were made,
+//! how many of them the per-run memo ([`crate::EmptinessMemo`]) answered,
+//! and how many a simplex witness answered "non-empty" — the last two
+//! without eliminating.  The counters are process-wide relaxed
 //! atomics, mirroring `chora_numeric::stats`, and [`register_metrics`]
 //! publishes the same cells into the [`chora_telemetry::metrics`] registry
 //! as `chora_fm_*` series for the `/v1/metrics` scrape.
@@ -37,6 +38,9 @@ pub struct FmStats {
     /// Emptiness decisions answered from an open [`crate::EmptinessMemo`]
     /// instead of a Fourier–Motzkin run.
     pub emptiness_memo_hits: u64,
+    /// `is_empty_set` decisions answered "non-empty" by a simplex witness
+    /// instead of a Fourier–Motzkin run.
+    pub emptiness_witnesses: u64,
 }
 
 pub(crate) static ROWS_GENERATED: AtomicU64 = AtomicU64::new(0);
@@ -47,6 +51,7 @@ pub(crate) static EARLY_UNSAT_EXITS: AtomicU64 = AtomicU64::new(0);
 pub(crate) static MAX_WIDTH: AtomicU64 = AtomicU64::new(0);
 pub(crate) static EMPTINESS_CHECKS: AtomicU64 = AtomicU64::new(0);
 pub(crate) static EMPTINESS_MEMO_HITS: AtomicU64 = AtomicU64::new(0);
+pub(crate) static EMPTINESS_WITNESSES: AtomicU64 = AtomicU64::new(0);
 
 /// Reads the current counter values.
 pub fn snapshot() -> FmStats {
@@ -59,6 +64,7 @@ pub fn snapshot() -> FmStats {
         max_width: MAX_WIDTH.load(Ordering::Relaxed),
         emptiness_checks: EMPTINESS_CHECKS.load(Ordering::Relaxed),
         emptiness_memo_hits: EMPTINESS_MEMO_HITS.load(Ordering::Relaxed),
+        emptiness_witnesses: EMPTINESS_WITNESSES.load(Ordering::Relaxed),
     }
 }
 
@@ -72,6 +78,7 @@ pub fn reset() {
     MAX_WIDTH.store(0, Ordering::Relaxed);
     EMPTINESS_CHECKS.store(0, Ordering::Relaxed);
     EMPTINESS_MEMO_HITS.store(0, Ordering::Relaxed);
+    EMPTINESS_WITNESSES.store(0, Ordering::Relaxed);
 }
 
 #[inline]
@@ -124,6 +131,11 @@ pub fn register_metrics() {
             "chora_fm_emptiness_memo_hits_total",
             "FM emptiness decisions answered from the per-run memo.",
             &EMPTINESS_MEMO_HITS,
+        );
+        registry.register_counter_static(
+            "chora_fm_emptiness_witnesses_total",
+            "FM emptiness decisions answered non-empty by a simplex witness.",
+            &EMPTINESS_WITNESSES,
         );
         registry.register_gauge_static(
             "chora_fm_max_width",
