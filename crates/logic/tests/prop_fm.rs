@@ -11,7 +11,9 @@
 //! * the two projections entail each other atom-for-atom (each engine's
 //!   output is verified with the *other* engine, so a shared bug cannot
 //!   vouch for itself),
-//! * satisfiability verdicts agree, including on contradictory systems,
+//! * satisfiability verdicts agree, including on contradictory systems and
+//!   on systems with the origin on their boundary (where the simplex
+//!   witness `is_empty_set` tries first must honour strict rows),
 //! * single-atom and batched (`implies_all`, with its early-unsat exit)
 //!   entailment agree with the naive oracle.
 //!
@@ -45,16 +47,22 @@ fn sym(name: &str) -> Symbol {
     Symbol::new(name)
 }
 
+/// `a·x + b·y + c·z + d`.
+fn linear(a: i64, b: i64, c: i64, d: i64) -> Polynomial {
+    let mut poly = Polynomial::constant(rat(d));
+    for (coeff, name) in [(a, VARS[0]), (b, VARS[1]), (c, VARS[2])] {
+        poly = &poly + &Polynomial::var(sym(name)).scale(&rat(coeff));
+    }
+    poly
+}
+
 /// One random linear atom `a·x + b·y + c·z + d ◇ 0` with small integer
 /// coefficients; equations are rare enough that systems stay mostly
 /// full-dimensional but the equality-substitution path is still exercised.
 fn atom_strategy() -> impl Strategy<Value = Atom> {
     // kind weights: 0..=3 → Le, 4 → Lt, 5 → Eq.
     (-3i64..=3, -3i64..=3, -3i64..=3, -8i64..=8, 0i64..6).prop_map(|(a, b, c, d, kind)| {
-        let mut poly = Polynomial::constant(rat(d));
-        for (coeff, name) in [(a, VARS[0]), (b, VARS[1]), (c, VARS[2])] {
-            poly = &poly + &Polynomial::var(sym(name)).scale(&rat(coeff));
-        }
+        let poly = linear(a, b, c, d);
         match kind {
             0..=3 => Atom::le_zero(poly),
             4 => Atom::lt_zero(poly),
@@ -65,6 +73,25 @@ fn atom_strategy() -> impl Strategy<Value = Atom> {
 
 fn polyhedron_strategy() -> impl Strategy<Value = Polyhedron> {
     prop::collection::vec(atom_strategy(), 1..8).prop_map(Polyhedron::from_atoms)
+}
+
+/// A linear atom `a·x + b·y + d ◇ 0` whose constant is −1, 0 or 1 (0 half
+/// the time), strict about half the time: the origin lies on the boundary
+/// of most systems built from these, which is where a witness search that
+/// lets a strict row hold with equality answers "non-empty" wrongly.  Two
+/// variables make strict rows through the origin that no point satisfies
+/// together (such as `x < 0 ∧ −x < 0`) common enough to turn up in every
+/// run.
+fn boundary_atom_strategy() -> impl Strategy<Value = Atom> {
+    // kind weights: 0..=1 → Le, 2..=4 → Lt, 5 → Eq.
+    (-3i64..=3, -3i64..=3, 0usize..4, 0i64..6).prop_map(|(a, b, d, kind)| {
+        let poly = linear(a, b, 0, [-1, 0, 0, 1][d]);
+        match kind {
+            0..=1 => Atom::le_zero(poly),
+            2..=4 => Atom::lt_zero(poly),
+            _ => Atom::eq_zero(poly),
+        }
+    })
 }
 
 /// Regression: an unsatisfiable all-`Le` system on which a naive counting
@@ -83,14 +110,8 @@ fn kohler_pruning_keeps_contradiction_lineage() {
         [-2, -2, 0, -1],
     ];
     let p = Polyhedron::from_atoms(
-        rows.map(|[a, b, c, d]| {
-            let mut poly = Polynomial::constant(rat(d));
-            for (coeff, name) in [(a, VARS[0]), (b, VARS[1]), (c, VARS[2])] {
-                poly = &poly + &Polynomial::var(sym(name)).scale(&rat(coeff));
-            }
-            Atom::le_zero(poly)
-        })
-        .to_vec(),
+        rows.map(|[a, b, c, d]| Atom::le_zero(linear(a, b, c, d)))
+            .to_vec(),
     );
     assert!(p.is_empty_set_naive(), "oracle: system is unsatisfiable");
     assert!(p.is_empty_set(), "pruned engine must agree on {}", &p);
@@ -148,12 +169,25 @@ fn closed_memo_answers_no_more_queries() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
+    /// `is_empty_set` answers "non-empty" from a simplex witness when it
+    /// finds one; the boundary systems check that the witness honours
+    /// strict rows where the origin only just fails them.
     #[test]
-    fn satisfiability_agrees_with_naive(p in polyhedron_strategy()) {
-        prop_assert_eq!(p.is_empty_set(), p.is_empty_set_naive(), "p = {}", &p);
+    fn satisfiability_agrees_with_naive(
+        p in polyhedron_strategy(),
+        boundary in prop::collection::vec(boundary_atom_strategy(), 1..7)
+            .prop_map(Polyhedron::from_atoms),
+    ) {
+        for p in [&p, &boundary] {
+            prop_assert_eq!(p.is_empty_set(), p.is_empty_set_naive(), "p = {}", p);
+        }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn projection_is_entailment_equivalent_to_naive(
