@@ -589,7 +589,12 @@ impl Analyzer {
             });
         }
         // Polyhedral part: polynomial closed forms substituted with the depth
-        // bound, guarded on the sign of the depth argument (see DESIGN.md).
+        // bound, guarded on the sign of the depth argument.  Every execution
+        // has height H ≤ max(1, e), and each closed form b_k(h) bounds τ_k on
+        // every execution of height at most h.  `max` is not polynomial, so
+        // the formula splits the integers on e: e ≥ 1 gives H ≤ e, hence
+        // τ_k ≤ b_k(e); e ≤ 0 gives H ≤ 1, the base case alone, whose hull
+        // supplied each τ_k as an atom τ_k ≤ 0 (`height::analyze_scc`).
         let formula = if self.config.enable_polynomial_facts {
             self.polynomial_summary_formula(&facts, depth)
         } else {
