@@ -22,6 +22,17 @@ pub enum AtomKind {
     Eq,
 }
 
+impl AtomKind {
+    /// Whether `c ◇ 0` holds for the constant `c`.
+    pub(crate) fn holds(self, c: &BigRational) -> bool {
+        match self {
+            AtomKind::Le => !c.is_positive(),
+            AtomKind::Lt => c.is_negative(),
+            AtomKind::Eq => c.is_zero(),
+        }
+    }
+}
+
 /// A polynomial constraint `p ◇ 0`.
 ///
 /// ```
@@ -140,11 +151,7 @@ impl Atom {
     /// Returns `None` when the polynomial is not a constant.
     pub fn trivial_truth(&self) -> Option<bool> {
         let c = self.poly.as_constant()?;
-        Some(match self.kind {
-            AtomKind::Le => !c.is_positive(),
-            AtomKind::Lt => c.is_negative(),
-            AtomKind::Eq => c.is_zero(),
-        })
+        Some(self.kind.holds(&c))
     }
 
     /// The negation of this atom as one or more atoms whose *disjunction* is

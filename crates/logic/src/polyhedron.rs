@@ -964,15 +964,6 @@ impl RowStore {
         slot.row
     }
 
-    /// Whether `diff ◇ 0` holds, for the slack between parallel rows.
-    fn slack_holds(diff: &BigRational, kind: AtomKind) -> bool {
-        match kind {
-            AtomKind::Le => !diff.is_positive(),
-            AtomKind::Lt => diff.is_negative(),
-            AtomKind::Eq => diff.is_zero(),
-        }
-    }
-
     /// Resolves a slot's certificate after an exact duplicate arrived: the
     /// same constraint now has two derivations and either certificate is
     /// valid for it, so keep whichever ancestor set is contained in the
@@ -1007,7 +998,7 @@ impl RowStore {
             return;
         }
         if row.expr.is_constant() {
-            if !Self::slack_holds(row.expr.constant_term(), row.kind) {
+            if !row.kind.holds(row.expr.constant_term()) {
                 self.unsat = true;
             }
             return;
@@ -1043,7 +1034,7 @@ impl RowStore {
                 // prev: L + a = 0, new: L + b ◇ 0  ⇒  b − a ◇ 0
                 // (both read in key orientation).
                 let diff = row.expr.constant_term() - &oriented_const(prev);
-                if Self::slack_holds(&diff, row.kind) {
+                if row.kind.holds(&diff) {
                     fm_stat!(ROWS_DOMINATED);
                     Self::domination_cert(self.row_mut(id), &row);
                 } else {
@@ -1052,7 +1043,7 @@ impl RowStore {
             }
             (_, AtomKind::Eq) => {
                 let diff = prev.expr.constant_term() - &oriented_const(&row);
-                if Self::slack_holds(&diff, prev.kind) {
+                if prev.kind.holds(&diff) {
                     fm_stat!(ROWS_DOMINATED);
                     Self::domination_cert(&mut row, prev);
                     self.remove(id);

@@ -77,22 +77,11 @@ struct Tableau {
 /// means no point does (the search is complete over the rationals), but
 /// callers answer "empty" only from Fourier–Motzkin (see the module doc).
 pub(crate) fn has_witness(rows: &[(LinearExpr, AtomKind)]) -> bool {
-    if rows
-        .iter()
-        .all(|(e, kind)| holds_at_origin(e.constant_term(), *kind))
-    {
+    // With every dimension at zero, a row `L + c ◇ 0` reads `c ◇ 0`.
+    if rows.iter().all(|(e, kind)| kind.holds(e.constant_term())) {
         return true;
     }
     Tableau::new(rows).feasible()
-}
-
-/// Whether `c ◇ 0` holds, i.e. the row holds with every dimension at zero.
-fn holds_at_origin(c: &BigRational, kind: AtomKind) -> bool {
-    match kind {
-        AtomKind::Le => !c.is_positive(),
-        AtomKind::Lt => c.is_negative(),
-        AtomKind::Eq => c.is_zero(),
-    }
 }
 
 impl Tableau {
