@@ -791,6 +791,7 @@ impl AnalysisBackend for AnalysisService {
             ("emptiness_checks", fm.emptiness_checks),
             ("emptiness_memo_hits", fm.emptiness_memo_hits),
             ("emptiness_witnesses", fm.emptiness_witnesses),
+            ("overflow_restarts", fm.overflow_restarts),
         ]
     }
 

@@ -7,7 +7,8 @@
 //! of polyhedra form a [`crate::TransitionFormula`].
 
 use chora_expr::{LinearExpr, Monomial, Polynomial, Symbol};
-use chora_numeric::{BigInt, BigRational};
+use chora_numeric::{BigInt, BigRational, Sign};
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -25,10 +26,16 @@ pub enum AtomKind {
 impl AtomKind {
     /// Whether `c ◇ 0` holds for the constant `c`.
     pub(crate) fn holds(self, c: &BigRational) -> bool {
+        self.holds_at(c.sign().cmp(&Sign::Zero))
+    }
+
+    /// Whether `c ◇ 0` holds for a constant `c` that compares to zero as
+    /// `sign`.
+    pub(crate) fn holds_at(self, sign: Ordering) -> bool {
         match self {
-            AtomKind::Le => !c.is_positive(),
-            AtomKind::Lt => c.is_negative(),
-            AtomKind::Eq => c.is_zero(),
+            AtomKind::Le => sign != Ordering::Greater,
+            AtomKind::Lt => sign == Ordering::Less,
+            AtomKind::Eq => sign == Ordering::Equal,
         }
     }
 }

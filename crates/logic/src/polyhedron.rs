@@ -10,17 +10,24 @@
 
 use crate::atom::{Atom, AtomKind};
 use crate::memo;
-use crate::stats::fm_stat;
+use crate::stats::{fm_stat, FmStats};
 use crate::witness;
 use chora_expr::{Fingerprint, FingerprintBuilder, LinearExpr, Monomial, Polynomial, Symbol};
-use chora_numeric::{BigInt, BigRational};
+use chora_numeric::{BigInt, BigRational, Sign};
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-/// Safety valve: when an intermediate Fourier–Motzkin system grows beyond
-/// this many constraints the operation falls back to a sound but less precise
-/// result (dropping constraints for projection, weak join for hulls).
+/// Safety valve of every Fourier–Motzkin pass, hull joins included: a
+/// pos×neg step whose combinations, with the rows it leaves alone, could
+/// exceed this many rows drops every row that mentions its dimension
+/// instead — a sound but less precise result (see [`eliminate_rows`]).  No
+/// step grows a system past the budget, so [`Polyhedron::join`] falls back
+/// to the weak join only when its Balas system alone is larger.  On one
+/// jobs-1 pass over the paper's suites the budget drops rows 24 times, all
+/// inside hull eliminations (16 on ackermann, 8 on Ackermann01), and no
+/// join falls back.
 const FM_CONSTRAINT_BUDGET: usize = 600;
 
 /// A conjunction of polynomial constraint [`Atom`]s.
@@ -57,11 +64,13 @@ impl Polyhedron {
         p
     }
 
-    /// Restores a polyhedron from a previously-observed `atoms()` list
-    /// **verbatim** — no dedup or trivial-truth filtering, so the result is
-    /// bit-identical to the polyhedron the list was read from (the
+    /// A polyhedron of exactly these atoms, **verbatim** — no dedup,
+    /// trivial-truth filtering or canonicalization — for lists that already
+    /// are in the form [`Polyhedron::from_atoms`] would give them.  It
+    /// restores a previously observed `atoms()` list bit-identically (the
     /// summary-cache deserialization constructor; see
-    /// [`crate::TransitionFormula::from_parts`]).
+    /// [`crate::TransitionFormula::from_parts`]), and turns the rows a
+    /// projection or hull leaves back into atoms.
     pub fn from_parts(atoms: Vec<Atom>) -> Polyhedron {
         Polyhedron { atoms }
     }
@@ -349,9 +358,13 @@ impl Polyhedron {
 
     /// Convex-hull join (the ⊔ of Alg. 1).
     ///
-    /// Uses Balas' extended formulation projected by Fourier–Motzkin; if the
-    /// intermediate system exceeds the constraint budget, falls back to the
-    /// sound *weak join* (mutually implied constraints).
+    /// Uses Balas' extended formulation projected by Fourier–Motzkin.  As in
+    /// every projection, a step that would exceed the constraint budget
+    /// drops the rows of its dimension, so the hull may be weaker than the
+    /// exact one.  The join falls back to the sound *weak join* (mutually
+    /// implied constraints) only when the operands span more than 24
+    /// dimensions or the Balas system alone has more rows than the budget
+    /// (`FM_CONSTRAINT_BUDGET`, 600).
     pub fn join(&self, other: &Polyhedron) -> Polyhedron {
         if self.is_empty_set() {
             return other.clone();
@@ -417,8 +430,9 @@ impl Polyhedron {
             LinearExpr::var(lambda) + LinearExpr::constant(-BigRational::one()),
             AtomKind::Le,
         ));
-        // Eliminate z's and λ; abort to the weak join if an intermediate
-        // system overruns the budget.
+        // Eliminate z's and λ; abort to the weak join if the system is over
+        // the budget after a step, which only a Balas system larger than the
+        // budget can be (a step drops rows rather than outgrow it).
         let mut to_drop: Vec<Symbol> = z_names.values().cloned().collect();
         to_drop.push(lambda);
         let mut sys = left.with_constraints(constraints, &right);
@@ -719,11 +733,75 @@ impl GoneDims {
 /// propagates through [`GoneDims::union`] and is inherited across
 /// replacements), which keeps the skip sound at the price of firing less
 /// often on domination-heavy systems.
-struct FmRow {
-    expr: LinearExpr,
+struct FmRow<E> {
+    expr: E,
     kind: AtomKind,
     anc: Ancestors,
     gone: GoneDims,
+}
+
+/// A value a machine-integer row cannot hold (see [`IntRow`]): the pass
+/// that meets one reruns on rational rows, which never raise it.
+#[derive(Debug)]
+struct Overflow;
+
+/// The outcome of an arithmetic step on a pass's rows.
+type Fit<T> = Result<T, Overflow>;
+
+/// The linear part and constant of a projection-pass row.
+///
+/// Two types implement it: [`LinearExpr`], the exact rational rows the
+/// rest of the crate uses, and [`IntRow`], a dense machine-integer row
+/// local to one pass.  The row store, the elimination step and the pass
+/// loop are generic over it, so their dedup, domination, certificate and
+/// budget rules are written once and a row type supplies only arithmetic
+/// and comparisons.  Both types hold the same rational values and visit
+/// dimensions in the same (symbol) order, so a pass that finishes on
+/// integer rows leaves the rows, in the same order, and the counts it
+/// would leave on rational rows.
+trait RowExpr: Sized {
+    /// A dimension of the row space: a symbol, or a pass-local column.
+    type Dim: Copy + Ord;
+    /// A coefficient.
+    type Coef;
+    /// An equation prepared to substitute away one of its dimensions.
+    type Subst;
+
+    /// Whether every coefficient is zero.
+    fn is_constant(&self) -> bool;
+    /// How the constant term compares to zero.
+    fn constant_sign(&self) -> Ordering;
+    /// Scales the row to the coprime-integer representative of its ray,
+    /// the constant possibly fractional.  The caller guarantees the row is
+    /// not constant.
+    fn canonicalize(&mut self) -> Fit<()>;
+    /// Whether the coefficient of the least dimension is negative.
+    fn leads_negative(&self) -> bool;
+    /// A hash of the coefficient vector, read negated when `flip` is set
+    /// (the constant left out).  Equal vectors hash equal.
+    fn coefficients_hash(&self, flip: bool) -> u64;
+    /// Whether the coefficient vectors are equal, `other`'s read negated
+    /// when `flip` is set.
+    fn same_coefficients(&self, other: &Self, flip: bool) -> bool;
+    /// Compares the constant terms, each read negated when its flag is set.
+    fn cmp_constants(&self, flip: bool, other: &Self, other_flip: bool) -> Ordering;
+    /// How the coefficient of `d` compares to zero.
+    fn sign_of(&self, d: Self::Dim) -> Ordering;
+    /// Calls `f` with each dimension whose coefficient is non-zero, in
+    /// dimension order, and whether that coefficient is positive.
+    fn for_each_term(&self, f: impl FnMut(Self::Dim, bool));
+    /// Removes the term of `d` and returns its coefficient's magnitude.
+    fn take_abs(&mut self, d: Self::Dim) -> Self::Coef;
+    /// The pos×neg combination `pc·n_rest + n_abs·p_rest`.
+    fn combine(n_rest: &Self, pc: &Self::Coef, p_rest: &Self, n_abs: &Self::Coef) -> Fit<Self>;
+    /// Calls `f` with each dimension of `p_rest` or `n_rest` whose
+    /// coefficient cancelled in their combination `combined`.
+    fn for_each_cancelled(p_rest: &Self, n_rest: &Self, combined: &Self, f: impl FnMut(Self::Dim));
+    /// Prepares the equation `eq = 0` to substitute away `d`.
+    fn substitution(eq: Self, d: Self::Dim) -> Self::Subst;
+    /// The row with `d` substituted away, up to a positive scale (which the
+    /// store's canonicalization removes).
+    fn substituted(&self, d: Self::Dim, by: &Self::Subst) -> Fit<Self>;
 }
 
 /// Scales a row so its coefficient vector is the unique coprime-integer
@@ -752,27 +830,368 @@ fn canonicalize_row(expr: &mut LinearExpr) {
     }
 }
 
+/// How a rational compares to zero.
+fn rational_sign(c: &BigRational) -> Ordering {
+    c.sign().cmp(&Sign::Zero)
+}
+
+/// Rational rows: the representation every pass falls back to.
+impl RowExpr for LinearExpr {
+    type Dim = Symbol;
+    type Coef = BigRational;
+    /// The expression the eliminated symbol equals.
+    type Subst = LinearExpr;
+
+    fn is_constant(&self) -> bool {
+        self.num_terms() == 0
+    }
+
+    fn constant_sign(&self) -> Ordering {
+        rational_sign(self.constant_term())
+    }
+
+    fn canonicalize(&mut self) -> Fit<()> {
+        canonicalize_row(self);
+        Ok(())
+    }
+
+    fn leads_negative(&self) -> bool {
+        self.coefficients()
+            .next()
+            .is_some_and(|(_, c)| c.is_negative())
+    }
+
+    /// Hashes symbol ids and coefficient values.  A coefficient whose value
+    /// (read as flipped) lies outside `(i64::MIN, i64::MAX]` hashes as
+    /// `i64::MIN`, a value no fitting coefficient produces.
+    fn coefficients_hash(&self, flip: bool) -> u64 {
+        let mut h = WordHasher::default();
+        for (s, c) in self.coefficients() {
+            s.hash(&mut h);
+            let word = match c.numer().to_i64() {
+                Some(v) if v != i64::MIN => {
+                    if flip {
+                        -v
+                    } else {
+                        v
+                    }
+                }
+                _ => i64::MIN,
+            };
+            h.add(word as u64);
+        }
+        h.finish()
+    }
+
+    fn same_coefficients(&self, other: &Self, flip: bool) -> bool {
+        self.num_terms() == other.num_terms()
+            && self
+                .coefficients()
+                .zip(other.coefficients())
+                .all(|((sa, ca), (sb, cb))| sa == sb && if flip { *ca == -cb } else { ca == cb })
+    }
+
+    fn cmp_constants(&self, flip: bool, other: &Self, other_flip: bool) -> Ordering {
+        let read = |c: &BigRational, flip: bool| if flip { -c } else { c.clone() };
+        read(self.constant_term(), flip).cmp(&read(other.constant_term(), other_flip))
+    }
+
+    fn sign_of(&self, d: Symbol) -> Ordering {
+        rational_sign(&self.coefficient(&d))
+    }
+
+    fn for_each_term(&self, mut f: impl FnMut(Symbol, bool)) {
+        for (s, c) in self.coefficients() {
+            f(*s, c.is_positive());
+        }
+    }
+
+    fn take_abs(&mut self, d: Symbol) -> BigRational {
+        let c = self.coefficient(&d);
+        self.add_coefficient(d, -c.clone());
+        c.abs()
+    }
+
+    fn combine(n_rest: &Self, pc: &BigRational, p_rest: &Self, n_abs: &BigRational) -> Fit<Self> {
+        Ok(n_rest.scaled_sum(pc, p_rest, n_abs))
+    }
+
+    fn for_each_cancelled(
+        p_rest: &Self,
+        n_rest: &Self,
+        combined: &Self,
+        mut f: impl FnMut(Symbol),
+    ) {
+        for (s, _) in p_rest.coefficients().chain(n_rest.coefficients()) {
+            if combined.coefficient(s).is_zero() {
+                f(*s);
+            }
+        }
+    }
+
+    fn substitution(eq: Self, d: Symbol) -> LinearExpr {
+        let coeff = eq.coefficient(&d);
+        let mut rest = eq;
+        rest.add_coefficient(d, -coeff.clone());
+        rest.scale(&(-coeff.recip()))
+    }
+
+    fn substituted(&self, d: Symbol, by: &LinearExpr) -> Fit<Self> {
+        Ok(self.substitute(&d, by))
+    }
+}
+
+/// A row of a machine-integer pass: `Σ coefs[j]·col_j + num/den`, with one
+/// `i64` coefficient per column of the pass (see [`int_pass`]) and the
+/// constant a reduced fraction, `den > 0`.  Every value is checked: no
+/// stored value is `i64::MIN`, so reading one negated in key orientation
+/// cannot overflow, and a result outside `(i64::MIN, i64::MAX]` is an
+/// [`Overflow`].  The arithmetic runs on machine words and never touches
+/// `chora_numeric`, whose counters therefore do not see it.
+struct IntRow {
+    coefs: Vec<i64>,
+    num: i64,
+    den: i64,
+}
+
+/// `v` as a value an [`IntRow`] may hold.
+fn fit(v: i128) -> Fit<i64> {
+    match i64::try_from(v) {
+        Ok(v) if v != i64::MIN => Ok(v),
+        _ => Err(Overflow),
+    }
+}
+
+/// The binary gcd of two magnitudes (`gcd(0, b) = b`).
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
+/// `num/den` in lowest terms, `den > 0`, if both parts fit an [`IntRow`].
+fn reduced(num: i128, den: i128) -> Fit<(i64, i64)> {
+    let (mut a, mut b) = (num.unsigned_abs(), den.unsigned_abs());
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    let g = a as i128;
+    Ok((fit(num / g)?, fit(den / g)?))
+}
+
+/// `BigInt`'s inline value, if it is held inline and fits an [`IntRow`].
+/// Heap-held values do not convert even when they would fit, so a
+/// forced-heap run keeps exercising rational arithmetic.
+fn inline(n: &BigInt) -> Fit<i64> {
+    match n.as_small() {
+        Some(v) if v != i64::MIN => Ok(v),
+        _ => Err(Overflow),
+    }
+}
+
+impl IntRow {
+    /// The row of `expr` over `cols`, which hold its symbols in order.  A
+    /// fractional coefficient does not fit either, though the canonical
+    /// rows a pass starts from have none.
+    fn from_linear(expr: &LinearExpr, cols: &[Symbol]) -> Fit<IntRow> {
+        let mut coefs = vec![0; cols.len()];
+        let mut j = 0;
+        for (s, c) in expr.coefficients() {
+            while cols[j] != *s {
+                j += 1;
+            }
+            if !c.denom().is_one() {
+                return Err(Overflow);
+            }
+            coefs[j] = inline(c.numer())?;
+        }
+        let c = expr.constant_term();
+        Ok(IntRow {
+            coefs,
+            num: inline(c.numer())?,
+            den: inline(c.denom())?,
+        })
+    }
+
+    /// The rational row over `cols`.
+    fn to_linear(&self, cols: &[Symbol]) -> LinearExpr {
+        let constant = if self.den == 1 {
+            BigRational::from(self.num)
+        } else {
+            BigRational::new(BigInt::from(self.num), BigInt::from(self.den))
+        };
+        LinearExpr::from_parts(
+            cols.iter()
+                .zip(&self.coefs)
+                .filter(|(_, c)| **c != 0)
+                .map(|(s, c)| (*s, BigRational::from(*c))),
+            constant,
+        )
+    }
+
+    /// `ka·a + kb·b`, for `ka > 0`.
+    fn scaled_sum(a: &IntRow, ka: i64, b: &IntRow, kb: i64) -> Fit<IntRow> {
+        let mut coefs = Vec::with_capacity(a.coefs.len());
+        for (&x, &y) in a.coefs.iter().zip(&b.coefs) {
+            coefs.push(fit(x as i128 * ka as i128 + y as i128 * kb as i128)?);
+        }
+        let (num, den) = if a.den == 1 && b.den == 1 {
+            (
+                fit(a.num as i128 * ka as i128 + b.num as i128 * kb as i128)?,
+                1,
+            )
+        } else {
+            let g = gcd(a.den as u64, b.den as u64) as i128;
+            let (ad, bd) = (a.den as i128, b.den as i128);
+            let num = (a.num as i128 * ka as i128)
+                .checked_mul(bd / g)
+                .zip((b.num as i128 * kb as i128).checked_mul(ad / g))
+                .and_then(|(x, y)| x.checked_add(y))
+                .ok_or(Overflow)?;
+            reduced(num, ad / g * bd)?
+        };
+        Ok(IntRow { coefs, num, den })
+    }
+}
+
+/// Machine-integer rows: the representation every pass tries first.
+impl RowExpr for IntRow {
+    /// A column of the pass.
+    type Dim = usize;
+    type Coef = i64;
+    /// The equation itself.
+    type Subst = IntRow;
+
+    fn is_constant(&self) -> bool {
+        self.coefs.iter().all(|&c| c == 0)
+    }
+
+    fn constant_sign(&self) -> Ordering {
+        self.num.cmp(&0)
+    }
+
+    /// Divides by the gcd of the coefficients, stopping once it reaches 1.
+    fn canonicalize(&mut self) -> Fit<()> {
+        let mut g = 0;
+        for &c in &self.coefs {
+            g = gcd(g, c.unsigned_abs());
+            if g == 1 {
+                return Ok(());
+            }
+        }
+        let g = g as i64;
+        for c in &mut self.coefs {
+            *c /= g;
+        }
+        // `num/den` is reduced, so `gcd(num, den·g) = gcd(num, g)`.
+        let h = gcd(self.num.unsigned_abs(), g as u64) as i64;
+        self.num /= h;
+        self.den = fit(self.den as i128 * (g / h) as i128)?;
+        Ok(())
+    }
+
+    fn leads_negative(&self) -> bool {
+        self.coefs.iter().find(|&&c| c != 0).is_some_and(|&c| c < 0)
+    }
+
+    /// Hashes column indices and coefficient values.
+    fn coefficients_hash(&self, flip: bool) -> u64 {
+        let mut h = WordHasher::default();
+        for (j, &c) in self.coefs.iter().enumerate() {
+            if c != 0 {
+                h.add(j as u64);
+                h.add((if flip { -c } else { c }) as u64);
+            }
+        }
+        h.finish()
+    }
+
+    fn same_coefficients(&self, other: &Self, flip: bool) -> bool {
+        if flip {
+            self.coefs.iter().zip(&other.coefs).all(|(&a, &b)| a == -b)
+        } else {
+            self.coefs == other.coefs
+        }
+    }
+
+    fn cmp_constants(&self, flip: bool, other: &Self, other_flip: bool) -> Ordering {
+        let read = |num: i64, flip: bool| (if flip { -num } else { num }) as i128;
+        (read(self.num, flip) * other.den as i128)
+            .cmp(&(read(other.num, other_flip) * self.den as i128))
+    }
+
+    fn sign_of(&self, d: usize) -> Ordering {
+        self.coefs[d].cmp(&0)
+    }
+
+    fn for_each_term(&self, mut f: impl FnMut(usize, bool)) {
+        for (j, &c) in self.coefs.iter().enumerate() {
+            if c != 0 {
+                f(j, c > 0);
+            }
+        }
+    }
+
+    fn take_abs(&mut self, d: usize) -> i64 {
+        std::mem::take(&mut self.coefs[d]).abs()
+    }
+
+    fn combine(n_rest: &Self, pc: &i64, p_rest: &Self, n_abs: &i64) -> Fit<Self> {
+        IntRow::scaled_sum(n_rest, *pc, p_rest, *n_abs)
+    }
+
+    fn for_each_cancelled(p_rest: &Self, n_rest: &Self, combined: &Self, mut f: impl FnMut(usize)) {
+        for (j, ((&p, &n), &c)) in p_rest
+            .coefs
+            .iter()
+            .zip(&n_rest.coefs)
+            .zip(&combined.coefs)
+            .enumerate()
+        {
+            if (p != 0 || n != 0) && c == 0 {
+                f(j);
+            }
+        }
+    }
+
+    fn substitution(eq: Self, _: usize) -> IntRow {
+        eq
+    }
+
+    /// `|c_eq|·row − c_row·sign(c_eq)·eq`: the rational substitution
+    /// `row − (c_row / c_eq)·eq` scaled by `|c_eq|` instead of divided.
+    fn substituted(&self, d: usize, eq: &IntRow) -> Fit<Self> {
+        let c = eq.coefs[d];
+        IntRow::scaled_sum(self, c.abs(), eq, -self.coefs[d] * c.signum())
+    }
+}
+
 /// Whether an equation's stored orientation is flipped relative to its
 /// canonical key orientation (least symbol's coefficient positive).
 /// `p = 0` and `-p = 0` are the same constraint, so both must land in the
 /// same [`RowStore`] slot; inequalities never flip.
-fn eq_key_flipped(row: &FmRow) -> bool {
-    row.kind == AtomKind::Eq
-        && row
-            .expr
-            .coefficients()
-            .next()
-            .is_some_and(|(_, c)| c.is_negative())
+fn eq_key_flipped<E: RowExpr>(row: &FmRow<E>) -> bool {
+    row.kind == AtomKind::Eq && row.expr.leads_negative()
 }
 
-/// The row's constant term read in key orientation (negated for flipped
-/// equations), so parallel rows compare on a common orientation.
-fn oriented_const(row: &FmRow) -> BigRational {
-    if eq_key_flipped(row) {
-        -row.expr.constant_term().clone()
-    } else {
-        row.expr.constant_term().clone()
-    }
+/// Compares the constant terms of two rows read in key orientation
+/// (negated for flipped equations), so parallel rows compare on a common
+/// orientation.
+fn cmp_oriented<E: RowExpr>(a: &FmRow<E>, b: &FmRow<E>) -> Ordering {
+    a.expr
+        .cmp_constants(eq_key_flipped(a), &b.expr, eq_key_flipped(b))
 }
 
 /// A multiply–rotate word hash (the FxHash construction): each word is
@@ -821,28 +1240,9 @@ thread_local! {
 }
 
 /// The hash of a row's key: its canonical linear part in key orientation
-/// (flipped equations negated, the constant left out), hashed as symbol ids
-/// and coefficient values.  A coefficient whose key-orientation value lies
-/// outside `(i64::MIN, i64::MAX]` hashes as `i64::MIN`, a value no fitting
-/// coefficient produces, so equal keys always hash equal.
-fn key_hash(row: &FmRow) -> u64 {
-    let flip = eq_key_flipped(row);
-    let mut h = WordHasher::default();
-    for (s, c) in row.expr.coefficients() {
-        s.hash(&mut h);
-        let word = match c.numer().to_i64() {
-            Some(v) if v != i64::MIN => {
-                if flip {
-                    -v
-                } else {
-                    v
-                }
-            }
-            _ => i64::MIN,
-        };
-        h.add(word as u64);
-    }
-    let hash = h.finish();
+/// (flipped equations negated, the constant left out).
+fn key_hash<E: RowExpr>(row: &FmRow<E>) -> u64 {
+    let hash = row.expr.coefficients_hash(eq_key_flipped(row));
     #[cfg(test)]
     let hash = hash & KEY_HASH_MASK.with(std::cell::Cell::get);
     hash
@@ -850,34 +1250,34 @@ fn key_hash(row: &FmRow) -> u64 {
 
 /// Whether two rows have the same key: equal coefficient vectors once both
 /// are read in key orientation.
-fn same_key(a: &FmRow, b: &FmRow) -> bool {
-    let flip = eq_key_flipped(a) != eq_key_flipped(b);
-    a.expr.num_terms() == b.expr.num_terms()
-        && a.expr
-            .coefficients()
-            .zip(b.expr.coefficients())
-            .all(|((sa, ca), (sb, cb))| sa == sb && if flip { *ca == -cb } else { ca == cb })
+fn same_key<E: RowExpr>(a: &FmRow<E>, b: &FmRow<E>) -> bool {
+    a.expr
+        .same_coefficients(&b.expr, eq_key_flipped(a) != eq_key_flipped(b))
 }
 
 /// One row of a [`RowStore`] with its key hash, computed once when the row
 /// first entered a store and carried along when it moves to another.
-struct Slot {
-    row: FmRow,
+struct Slot<E> {
+    row: FmRow<E>,
     hash: u64,
     /// The next older live slot whose key has the same hash.
     next: Option<usize>,
 }
 
-/// The redundancy-controlled constraint set of a projection pass.
+/// The redundancy-controlled constraint set of a projection pass (and of
+/// [`Linearized::normalize`]), over either row type: a pass's store holds
+/// [`IntRow`]s unless the pass reruns on rational rows, and `normalize`'s
+/// holds [`LinearExpr`]s.
 ///
-/// Every inserted row is brought to canonical form first (see
-/// [`canonicalize_row`]), so rows that are positive scalar multiples of one
-/// another collide.  The store then keeps at most one row per linear part:
-/// syntactic duplicates are dropped (hash-consing), parallel inequalities
-/// keep only the tighter constant (quasi-syntactic domination), an equation
-/// absorbs the parallel inequalities it implies, and contradictory parallel
-/// rows flip the store to `unsat` — the early exit that `implies_atom` and
-/// `implies_all` rely on.
+/// Every inserted row is brought to canonical form first (coprime integer
+/// coefficients, see [`RowExpr::canonicalize`]), so rows that are positive
+/// scalar multiples of one another collide.  The store then keeps at most
+/// one row per linear part: syntactic duplicates are dropped
+/// (hash-consing), parallel inequalities keep only the tighter constant
+/// (quasi-syntactic domination), an equation absorbs the parallel
+/// inequalities it implies, and contradictory parallel rows flip the store
+/// to `unsat` — the early exit that `implies_atom` and `implies_all` rely
+/// on.
 ///
 /// Rows are found by their key hash ([`key_hash`]), computed once per row:
 /// `index` maps each hash to the newest live slot carrying it, and older
@@ -885,35 +1285,40 @@ struct Slot {
 /// different keys, so a lookup confirms each candidate with [`same_key`].
 /// The index is never iterated: surviving rows are read back in insertion
 /// order, so every result is deterministic.
-#[derive(Default)]
-struct RowStore {
+///
+/// The store counts the rows it drops into `stats` rather than into the
+/// process-wide counters; its owner publishes them when its pass is kept.
+struct RowStore<E> {
     /// Slots in insertion order; `None` marks a killed or removed row.
-    rows: Vec<Option<Slot>>,
+    rows: Vec<Option<Slot<E>>>,
     /// Number of live rows.
     live: usize,
     /// Key hash -> newest live slot with that hash.
     index: HashMap<u64, usize, BuildHasherDefault<WordHasher>>,
     /// Set when two parallel rows contradict or a ground-false row arrives.
     unsat: bool,
+    /// The counter increments of the store's pass so far.
+    stats: FmStats,
 }
 
-impl RowStore {
-    fn with_capacity(n: usize) -> RowStore {
+impl<E: RowExpr> RowStore<E> {
+    fn with_capacity(n: usize) -> RowStore<E> {
         RowStore {
             rows: Vec::with_capacity(n),
             live: 0,
             index: HashMap::with_capacity_and_hasher(n, BuildHasherDefault::default()),
             unsat: false,
+            stats: FmStats::default(),
         }
     }
 
     /// The live rows, in insertion order.
-    fn live_rows(&self) -> impl Iterator<Item = &FmRow> {
+    fn live_rows(&self) -> impl Iterator<Item = &FmRow<E>> {
         self.rows.iter().flatten().map(|slot| &slot.row)
     }
 
     /// The live slot holding `row`'s key, if any.
-    fn find(&self, row: &FmRow, hash: u64) -> Option<usize> {
+    fn find(&self, row: &FmRow<E>, hash: u64) -> Option<usize> {
         let mut at = self.index.get(&hash).copied();
         while let Some(id) = at {
             let slot = self.rows[id].as_ref().expect("chains link live slots");
@@ -926,7 +1331,7 @@ impl RowStore {
     }
 
     /// Appends a row as the newest slot of its hash's chain.
-    fn push(&mut self, row: FmRow, hash: u64) {
+    fn push(&mut self, row: FmRow<E>, hash: u64) {
         let id = self.rows.len();
         let next = self.index.insert(hash, id);
         self.rows.push(Some(Slot { row, hash, next }));
@@ -934,7 +1339,7 @@ impl RowStore {
     }
 
     /// Takes a live row out of the store, unlinking it from its chain.
-    fn remove(&mut self, id: usize) -> FmRow {
+    fn remove(&mut self, id: usize) -> FmRow<E> {
         let slot = self.rows[id].take().expect("removing a live slot");
         self.live -= 1;
         let head = *self
@@ -964,12 +1369,20 @@ impl RowStore {
         slot.row
     }
 
+    /// Empties the store for a rebuild, keeping its counts, and returns its
+    /// slots.
+    fn take_slots(&mut self) -> Vec<Option<Slot<E>>> {
+        self.index.clear();
+        self.live = 0;
+        std::mem::take(&mut self.rows)
+    }
+
     /// Resolves a slot's certificate after an exact duplicate arrived: the
     /// same constraint now has two derivations and either certificate is
     /// valid for it, so keep whichever ancestor set is contained in the
     /// other.  Incomparable sets, or taint on either side, poison the slot
     /// (see the note on [`FmRow`]).
-    fn dedup_cert(kept: &mut FmRow, dup: &FmRow) {
+    fn dedup_cert(kept: &mut FmRow<E>, dup: &FmRow<E>) {
         let tainted = kept.gone.overflow || dup.gone.overflow;
         if anc_subset(dup.anc, kept.anc) {
             kept.anc = dup.anc;
@@ -984,7 +1397,7 @@ impl RowStore {
     /// set is certifiably contained in the dying row's untainted one —
     /// the only case in which Kohler completeness survives the kill (see
     /// the note on [`FmRow`]).
-    fn domination_cert(survivor: &mut FmRow, dying: &FmRow) {
+    fn domination_cert(survivor: &mut FmRow<E>, dying: &FmRow<E>) {
         if !anc_subset(survivor.anc, dying.anc) || dying.gone.overflow {
             survivor.gone.overflow = true;
         }
@@ -993,27 +1406,28 @@ impl RowStore {
     /// Inserts a row, resolving it against the store's row with the same
     /// linear part (if any).  `canonical` says the expression is already in
     /// canonical form and need not be re-scaled.
-    fn insert(&mut self, mut row: FmRow, canonical: bool) {
+    fn insert(&mut self, mut row: FmRow<E>, canonical: bool) -> Fit<()> {
         if self.unsat {
-            return;
+            return Ok(());
         }
         if row.expr.is_constant() {
-            if !row.kind.holds(row.expr.constant_term()) {
+            if !row.kind.holds_at(row.expr.constant_sign()) {
                 self.unsat = true;
             }
-            return;
+            return Ok(());
         }
         if !canonical {
-            canonicalize_row(&mut row.expr);
+            row.expr.canonicalize()?;
         }
         let hash = key_hash(&row);
         self.insert_hashed(row, hash);
+        Ok(())
     }
 
     /// Inserts a canonical, non-constant row whose key hash is known — the
     /// rest of [`RowStore::insert`], which rows moving between stores enter
     /// directly.
-    fn insert_hashed(&mut self, mut row: FmRow, hash: u64) {
+    fn insert_hashed(&mut self, mut row: FmRow<E>, hash: u64) {
         let Some(id) = self.find(&row, hash) else {
             self.push(row, hash);
             return;
@@ -1023,9 +1437,9 @@ impl RowStore {
             (AtomKind::Eq, AtomKind::Eq) => {
                 // `p = 0` and `-p = 0` share a slot; compare the constants
                 // in key orientation.
-                if oriented_const(prev) == oriented_const(&row) {
+                if cmp_oriented(prev, &row) == Ordering::Equal {
                     Self::dedup_cert(self.row_mut(id), &row);
-                    fm_stat!(ROWS_DEDUPED);
+                    self.stats.rows_deduped += 1;
                 } else {
                     self.unsat = true;
                 }
@@ -1033,18 +1447,16 @@ impl RowStore {
             (AtomKind::Eq, _) => {
                 // prev: L + a = 0, new: L + b ◇ 0  ⇒  b − a ◇ 0
                 // (both read in key orientation).
-                let diff = row.expr.constant_term() - &oriented_const(prev);
-                if row.kind.holds(&diff) {
-                    fm_stat!(ROWS_DOMINATED);
+                if row.kind.holds_at(cmp_oriented(&row, prev)) {
+                    self.stats.rows_dominated += 1;
                     Self::domination_cert(self.row_mut(id), &row);
                 } else {
                     self.unsat = true;
                 }
             }
             (_, AtomKind::Eq) => {
-                let diff = prev.expr.constant_term() - &oriented_const(&row);
-                if prev.kind.holds(&diff) {
-                    fm_stat!(ROWS_DOMINATED);
+                if prev.kind.holds_at(cmp_oriented(prev, &row)) {
+                    self.stats.rows_dominated += 1;
                     Self::domination_cert(&mut row, prev);
                     self.remove(id);
                     self.push(row, hash);
@@ -1056,21 +1468,20 @@ impl RowStore {
                 // Parallel inequalities: the larger constant is tighter; on
                 // ties a strict inequality beats a non-strict one (as the
                 // old `normalize` ruled).
-                let prev_c = prev.expr.constant_term();
-                let new_c = row.expr.constant_term();
-                let same_constant = prev_c == new_c;
-                let prev_at_least_as_tight =
-                    prev_c > new_c || (same_constant && (pk == AtomKind::Lt || nk == AtomKind::Le));
+                let order = cmp_oriented(prev, &row);
+                let same_constant = order == Ordering::Equal;
+                let prev_at_least_as_tight = order == Ordering::Greater
+                    || (same_constant && (pk == AtomKind::Lt || nk == AtomKind::Le));
                 if prev_at_least_as_tight {
                     if same_constant && pk == nk {
                         Self::dedup_cert(self.row_mut(id), &row);
-                        fm_stat!(ROWS_DEDUPED);
+                        self.stats.rows_deduped += 1;
                     } else {
-                        fm_stat!(ROWS_DOMINATED);
+                        self.stats.rows_dominated += 1;
                         Self::domination_cert(self.row_mut(id), &row);
                     }
                 } else {
-                    fm_stat!(ROWS_DOMINATED);
+                    self.stats.rows_dominated += 1;
                     Self::domination_cert(&mut row, prev);
                     self.remove(id);
                     self.push(row, hash);
@@ -1079,12 +1490,12 @@ impl RowStore {
         }
     }
 
-    fn row_mut(&mut self, id: usize) -> &mut FmRow {
+    fn row_mut(&mut self, id: usize) -> &mut FmRow<E> {
         &mut self.rows[id].as_mut().expect("live slot").row
     }
 
     /// The live rows as constraint pairs, in insertion order.
-    fn into_pairs(self) -> Vec<(LinearExpr, AtomKind)> {
+    fn into_pairs(self) -> Vec<(E, AtomKind)> {
         self.rows
             .into_iter()
             .flatten()
@@ -1096,9 +1507,11 @@ impl RowStore {
 /// The greedy elimination choice: any dimension an equation mentions comes
 /// first (substitution strictly shrinks the system), otherwise the minimizer
 /// of Chvátal's growth estimate `pos·neg − (pos + neg)`; ties break toward
-/// the smallest symbol, so the order is deterministic.
-fn choose_dim(occ: &BTreeMap<Symbol, (i64, i64, bool)>) -> Option<Symbol> {
-    let mut best: Option<(bool, i64, Symbol)> = None;
+/// the smallest dimension, so the order is deterministic.  `occ` holds each
+/// candidate's positive and negative inequality occurrences and whether an
+/// equation mentions it.
+fn choose_dim<D: Copy + Ord>(occ: &[(D, (i64, i64, bool))]) -> Option<D> {
+    let mut best: Option<(bool, i64, D)> = None;
     for (s, (pos, neg, eq)) in occ {
         let cand = if *eq {
             (false, 0, *s)
@@ -1118,11 +1531,17 @@ fn choose_dim(occ: &BTreeMap<Symbol, (i64, i64, bool)>) -> Option<Symbol> {
 
 /// Eliminates `d` from the store: by substitution through an equation when
 /// one mentions `d`, otherwise by pos×neg Fourier–Motzkin combination.
-/// `imbert` maps every dimension of the system to its bit in the per-row
-/// [`GoneDims`] set (`None` once equality substitution has mixed Gaussian
-/// steps into the ancestor accounting); a combined row is dropped when
+/// `imbert` maps every dimension of the system, sorted, to its bit in the
+/// per-row [`GoneDims`] set (`None` once equality substitution has mixed
+/// Gaussian steps into the ancestor accounting); a combined row is dropped when
 /// Kohler's criterion — more than `1 + |gone|` ancestors — proves it
 /// redundant.  Returns whether the step substituted.
+///
+/// A pos×neg step whose combinations, with the rows it leaves alone, could
+/// exceed [`FM_CONSTRAINT_BUDGET`] drops every row that mentions `d`
+/// instead (a sound over-approximation).  So a step never *grows* the
+/// store past the budget, and an `abort_over` limit of the budget fires
+/// only when a pass's input alone exceeds it.
 ///
 /// A pos×neg step works in place: it removes the rows that mention `d` and
 /// appends the combinations, which meet the unchanged rows exactly as they
@@ -1131,87 +1550,84 @@ fn choose_dim(occ: &BTreeMap<Symbol, (i64, i64, bool)>) -> Option<Symbol> {
 /// row in a *later* slot: rewriting in place would make the substituted row
 /// the kept one of that collision instead of the arriving one.  The rebuild
 /// moves unchanged rows over with their stored hashes.
-fn eliminate_rows(
-    store: &mut RowStore,
-    d: &Symbol,
-    imbert: Option<&BTreeMap<Symbol, usize>>,
-) -> bool {
+fn eliminate_rows<E: RowExpr>(
+    store: &mut RowStore<E>,
+    d: E::Dim,
+    imbert: Option<&[(E::Dim, usize)]>,
+) -> Fit<bool> {
     if let Some(eq_id) = store.rows.iter().position(|slot| {
         slot.as_ref()
-            .is_some_and(|s| s.row.kind == AtomKind::Eq && !s.row.expr.coefficient(d).is_zero())
+            .is_some_and(|s| s.row.kind == AtomKind::Eq && s.row.expr.sign_of(d) != Ordering::Equal)
     }) {
-        let live = store.live;
-        let mut slots = std::mem::replace(store, RowStore::with_capacity(live)).rows;
+        let mut slots = store.take_slots();
         let eq = slots[eq_id].take().expect("position found a live slot").row;
-        let coeff = eq.expr.coefficient(d);
-        let mut rest = eq.expr;
-        rest.add_coefficient(*d, -coeff.clone());
-        let replacement = rest.scale(&(-coeff.recip()));
+        let (eq_anc, eq_gone) = (eq.anc, eq.gone);
+        let by = E::substitution(eq.expr, d);
         // The surviving rows keep their insertion order.
         for Slot { row: r, hash, .. } in slots.into_iter().flatten() {
-            if r.expr.coefficient(d).is_zero() {
+            if r.expr.sign_of(d) == Ordering::Equal {
                 store.insert_hashed(r, hash);
             } else {
-                fm_stat!(ROWS_GENERATED);
-                let expr = r.expr.substitute(d, &replacement);
+                store.stats.rows_generated += 1;
+                let expr = r.expr.substituted(d, &by)?;
                 store.insert(
                     FmRow {
                         expr,
                         kind: r.kind,
-                        anc: Ancestors::union(r.anc, eq.anc),
+                        anc: Ancestors::union(r.anc, eq_anc),
                         // Substitution disables Imbert pruning for the rest
                         // of the pass, so the gone set is carried but unread.
-                        gone: GoneDims::union(r.gone, eq.gone),
+                        gone: GoneDims::union(r.gone, eq_gone),
                     },
                     false,
-                );
+                )?;
             }
             if store.unsat {
                 break;
             }
         }
-        return true;
+        return Ok(true);
     }
-    let mut pos: Vec<(LinearExpr, AtomKind, BigRational, Ancestors, GoneDims)> = Vec::new();
-    let mut neg: Vec<(LinearExpr, AtomKind, BigRational, Ancestors, GoneDims)> = Vec::new();
+    let mut pos: Vec<(FmRow<E>, E::Coef)> = Vec::new();
+    let mut neg: Vec<(FmRow<E>, E::Coef)> = Vec::new();
     for id in 0..store.rows.len() {
-        let c = match &store.rows[id] {
-            Some(slot) => slot.row.expr.coefficient(d),
+        let sign = match &store.rows[id] {
+            Some(slot) => slot.row.expr.sign_of(d),
             None => continue,
         };
-        if c.is_zero() {
+        if sign == Ordering::Equal {
             continue;
         }
-        let r = store.remove(id);
-        let mut e = r.expr;
-        e.add_coefficient(*d, -c.clone());
-        if c.is_positive() {
-            pos.push((e, r.kind, c, r.anc, r.gone));
+        let mut r = store.remove(id);
+        let c = r.expr.take_abs(d);
+        if sign == Ordering::Greater {
+            pos.push((r, c));
         } else {
-            neg.push((e, r.kind, -c, r.anc, r.gone));
+            neg.push((r, c));
         }
     }
     if pos.len() * neg.len() + store.live > FM_CONSTRAINT_BUDGET {
         // Over-approximate: drop every row involving d (the pre-existing
         // budget fallback).
-        return false;
+        return Ok(false);
     }
-    'combine: for (p_rest, pk, pc, pa, pg) in &pos {
-        for (n_rest, nk, n_abs, na, ng) in &neg {
-            let anc = Ancestors::union(*pa, *na);
-            let combined = n_rest.scaled_sum(pc, p_rest, n_abs);
+    'combine: for (p, pc) in &pos {
+        for (n, n_abs) in &neg {
+            let anc = Ancestors::union(p.anc, n.anc);
+            let combined = E::combine(&n.expr, pc, &p.expr, n_abs)?;
             // The combined row loses `d` plus any dimension the two parents
             // mention that cancelled accidentally in the sum; Kohler's
             // criterion needs both kinds counted, so the gone set is only
             // known after the row is materialized.
-            let mut gone = GoneDims::union(*pg, *ng);
+            let mut gone = GoneDims::union(p.gone, n.gone);
             if let Some(dims) = imbert {
-                gone.insert(dims.get(d).copied());
-                for (s, _) in p_rest.coefficients().chain(n_rest.coefficients()) {
-                    if combined.coefficient(s).is_zero() {
-                        gone.insert(dims.get(s).copied());
-                    }
-                }
+                let bit = |s: E::Dim| {
+                    dims.binary_search_by(|(t, _)| t.cmp(&s))
+                        .ok()
+                        .map(|i| dims[i].1)
+                };
+                gone.insert(bit(d));
+                E::for_each_cancelled(&p.expr, &n.expr, &combined, |s| gone.insert(bit(s)));
                 // Kohler: a row derived from more than `1 + |gone|` original
                 // rows is a nonnegative combination of rows with smaller
                 // histories, hence redundant.  The test is stated for
@@ -1219,14 +1635,16 @@ fn eliminate_rows(
                 // derivation (`Lt` is sticky through combination), and an
                 // overflowed gone set declines rather than guesses.
                 if let Some(count) = gone.exact() {
-                    if (*pk, *nk) == (AtomKind::Le, AtomKind::Le) && anc.at_least() > 1 + count {
-                        fm_stat!(IMBERT_SKIPPED);
+                    if (p.kind, n.kind) == (AtomKind::Le, AtomKind::Le)
+                        && anc.at_least() > 1 + count
+                    {
+                        store.stats.imbert_skipped += 1;
                         continue;
                     }
                 }
             }
-            fm_stat!(ROWS_GENERATED);
-            let kind = match (pk, nk) {
+            store.stats.rows_generated += 1;
+            let kind = match (p.kind, n.kind) {
                 (AtomKind::Lt, _) | (_, AtomKind::Lt) => AtomKind::Lt,
                 _ => AtomKind::Le,
             };
@@ -1238,13 +1656,155 @@ fn eliminate_rows(
                     gone,
                 },
                 false,
-            );
+            )?;
             if store.unsat {
                 break 'combine;
             }
         }
     }
-    false
+    Ok(false)
+}
+
+/// What one projection pass leaves behind.
+struct Pass<E> {
+    /// The surviving rows in store order; empty after a contradiction.
+    rows: Vec<(E, AtomKind)>,
+    /// Whether the pass derived a contradiction.
+    unsat: bool,
+    /// Whether the pass ran to its end rather than stopping at `abort_over`.
+    finished: bool,
+    /// The counter increments the pass made, published when it is kept.
+    stats: FmStats,
+}
+
+/// The Fourier–Motzkin pass loop, over either row type: eliminates every
+/// dimension in `drop` from `rows`, greedily (see [`choose_dim`]), and
+/// stops early at a contradiction or once more than `abort_over` rows are
+/// live after a step.  `rows` are canonical and pairwise distinct, as
+/// [`Linearized::normalize`] leaves them.
+fn run_pass<E: RowExpr>(
+    rows: Vec<(E, AtomKind)>,
+    drop: impl IntoIterator<Item = E::Dim>,
+    abort_over: Option<usize>,
+) -> Fit<Pass<E>> {
+    let mut store = RowStore::with_capacity(rows.len());
+    for (i, (expr, kind)) in rows.into_iter().enumerate() {
+        store.insert(
+            FmRow {
+                expr,
+                kind,
+                anc: Ancestors::origin(i),
+                gone: GoneDims::default(),
+            },
+            true,
+        )?;
+    }
+    // Every dimension of the system gets one bit in the per-row gone
+    // sets, in order of first occurrence; combinations only ever cancel
+    // dimensions, so the map never needs to grow mid-pass.  Maps and sets
+    // of dimensions are sorted vectors: a pass has few dimensions.
+    let mut dim_bits: Vec<(E::Dim, usize)> = Vec::new();
+    for row in store.live_rows() {
+        row.expr.for_each_term(|s, _| {
+            if let Err(i) = dim_bits.binary_search_by(|(t, _)| t.cmp(&s)) {
+                dim_bits.insert(i, (s, dim_bits.len()));
+            }
+        });
+    }
+    let mut remaining: Vec<E::Dim> = drop.into_iter().collect();
+    remaining.sort_unstable();
+    remaining.dedup();
+    // Kohler's criterion is stated for pure pos×neg elimination; once a
+    // step substitutes through an equation the ancestor accounting mixes
+    // Gaussian steps in, so pruning is switched off for the rest of the
+    // pass rather than argued about.
+    let mut imbert_ok = true;
+    while !store.unsat && !remaining.is_empty() {
+        // One scan counting, per still-to-eliminate dimension, its
+        // positive/negative inequality occurrences and whether an
+        // equation mentions it.
+        let mut occ: Vec<(E::Dim, (i64, i64, bool))> =
+            remaining.iter().map(|&s| (s, (0, 0, false))).collect();
+        for row in store.live_rows() {
+            for (s, e) in &mut occ {
+                match row.expr.sign_of(*s) {
+                    Ordering::Equal => {}
+                    _ if row.kind == AtomKind::Eq => e.2 = true,
+                    Ordering::Greater => e.0 += 1,
+                    Ordering::Less => e.1 += 1,
+                }
+            }
+        }
+        // Dimensions no row mentions are already (vacuously) eliminated.
+        occ.retain(|(_, counts)| *counts != (0, 0, false));
+        let Some(d) = choose_dim(&occ) else { break };
+        remaining = occ.iter().map(|(s, _)| *s).filter(|s| *s != d).collect();
+        let imbert = if imbert_ok { Some(&dim_bits[..]) } else { None };
+        if eliminate_rows(&mut store, d, imbert)? {
+            imbert_ok = false;
+        }
+        store.stats.max_width = store.stats.max_width.max(store.live as u64);
+        if abort_over.is_some_and(|limit| store.live > limit) {
+            let stats = store.stats;
+            return Ok(Pass {
+                rows: store.into_pairs(),
+                unsat: false,
+                finished: false,
+                stats,
+            });
+        }
+    }
+    if store.unsat && !remaining.is_empty() {
+        store.stats.early_unsat_exits += 1;
+    }
+    let (unsat, stats) = (store.unsat, store.stats);
+    Ok(Pass {
+        rows: if unsat {
+            Vec::new()
+        } else {
+            store.into_pairs()
+        },
+        unsat,
+        finished: true,
+        stats,
+    })
+}
+
+/// Runs one pass on machine-integer rows: the symbols of `constraints`
+/// become the pass's columns in symbol order, so dimensions are visited,
+/// tie-broken and oriented as on rational rows.  Fails at the first value
+/// that does not fit, in the input or mid-pass, leaving `constraints` as
+/// they were.
+fn int_pass(
+    constraints: &[(LinearExpr, AtomKind)],
+    drop: &[Symbol],
+    abort_over: Option<usize>,
+) -> Fit<Pass<LinearExpr>> {
+    let mut cols: Vec<Symbol> = Vec::new();
+    for (e, _) in constraints {
+        for (s, _) in e.coefficients() {
+            if let Err(i) = cols.binary_search(s) {
+                cols.insert(i, *s);
+            }
+        }
+    }
+    let mut rows = Vec::with_capacity(constraints.len());
+    for (e, kind) in constraints {
+        rows.push((IntRow::from_linear(e, &cols)?, *kind));
+    }
+    // A symbol no row mentions is vacuously eliminated.
+    let drop = drop.iter().filter_map(|s| cols.binary_search(s).ok());
+    let pass = run_pass(rows, drop, abort_over)?;
+    Ok(Pass {
+        rows: pass
+            .rows
+            .iter()
+            .map(|(row, kind)| (row.to_linear(&cols), *kind))
+            .collect(),
+        unsat: pass.unsat,
+        finished: pass.finished,
+        stats: pass.stats,
+    })
 }
 
 impl Linearized {
@@ -1379,20 +1939,23 @@ impl Linearized {
             return;
         }
         let mut store = RowStore::with_capacity(self.constraints.len());
-        for (i, (e, k)) in std::mem::take(&mut self.constraints)
+        for (i, (expr, kind)) in std::mem::take(&mut self.constraints)
             .into_iter()
             .enumerate()
         {
-            store.insert(
-                FmRow {
-                    expr: e,
-                    kind: k,
-                    anc: Ancestors::origin(i),
-                    gone: GoneDims::default(),
-                },
-                false,
-            );
+            store
+                .insert(
+                    FmRow {
+                        expr,
+                        kind,
+                        anc: Ancestors::origin(i),
+                        gone: GoneDims::default(),
+                    },
+                    false,
+                )
+                .expect("rational rows do not overflow");
         }
+        crate::stats::publish(&store.stats);
         if store.unsat {
             self.unsat = true;
             return;
@@ -1553,94 +2116,43 @@ impl Linearized {
     /// current rows.  Rows flow through a [`RowStore`] — canonical form,
     /// hash-cons dedup, domination pruning, Imbert's acceleration — and the
     /// pass stops as soon as a contradiction surfaces (`self.unsat`), which
-    /// is what lets `implies_atom`/`implies_all` return early.
+    /// is what lets `implies_atom`/`implies_all` return early.  The pass
+    /// runs on machine-integer rows and reruns on the rational rows when a
+    /// value does not fit ([`Linearized::pass`]); both leave the same rows.
     ///
-    /// With `abort_over` set, returns `false` as soon as an intermediate
-    /// system exceeds that many rows (the exact-join fallback trigger);
-    /// otherwise always returns `true`.
+    /// A step that could generate more than [`FM_CONSTRAINT_BUDGET`] rows
+    /// drops the rows of its dimension instead, so the result may be weaker
+    /// than the exact projection.  With `abort_over` set, returns `false`
+    /// when more than that many rows are live after a step.  The hull join
+    /// passes the budget, so this fires only when its Balas system alone is
+    /// larger: no step grows a system past the budget.  Otherwise returns
+    /// `true`.
     fn project(&mut self, drop: &[Symbol], abort_over: Option<usize>) -> bool {
         if self.unsat || drop.is_empty() || self.constraints.is_empty() {
             return true;
         }
-        let mut store = RowStore::with_capacity(self.constraints.len());
-        for (i, (e, k)) in std::mem::take(&mut self.constraints)
-            .into_iter()
-            .enumerate()
-        {
-            // Rows are canonical here: every construction site runs
-            // `normalize`, which canonicalizes through the same store.
-            store.insert(
-                FmRow {
-                    expr: e,
-                    kind: k,
-                    anc: Ancestors::origin(i),
-                    gone: GoneDims::default(),
-                },
-                true,
-            );
-        }
-        // Every dimension of the system gets one bit in the per-row gone
-        // sets; combinations only ever cancel dimensions, so the map never
-        // needs to grow mid-pass.
-        let mut dim_bits: BTreeMap<Symbol, usize> = BTreeMap::new();
-        for row in store.live_rows() {
-            for (s, _) in row.expr.coefficients() {
-                let bit = dim_bits.len();
-                dim_bits.entry(*s).or_insert(bit);
+        let pass = self.pass(drop, abort_over);
+        crate::stats::publish(&pass.stats);
+        self.unsat = pass.unsat;
+        self.constraints = pass.rows;
+        pass.finished
+    }
+
+    /// The pass of [`Linearized::project`], which takes the system's rows:
+    /// run on machine-integer rows ([`int_pass`]), and rerun from the
+    /// unchanged rational rows when a value does not fit.  A rerun pass
+    /// counts its rows once, and once in `overflow_restarts`.
+    fn pass(&mut self, drop: &[Symbol], abort_over: Option<usize>) -> Pass<LinearExpr> {
+        match int_pass(&self.constraints, drop, abort_over) {
+            Ok(pass) => pass,
+            Err(Overflow) => {
+                let rows = std::mem::take(&mut self.constraints);
+                let mut pass = run_pass(rows, drop.iter().copied(), abort_over)
+                    .expect("rational rows do not overflow");
+                pass.stats.overflow_restarts += 1;
+                pass
             }
         }
-        let mut remaining: BTreeSet<Symbol> = drop.iter().copied().collect();
-        // Kohler's criterion is stated for pure pos×neg elimination; once a
-        // step substitutes through an equation the ancestor accounting mixes
-        // Gaussian steps in, so pruning is switched off for the rest of the
-        // pass rather than argued about.
-        let mut imbert_ok = true;
-        while !store.unsat && !remaining.is_empty() {
-            // One scan counting, per still-to-eliminate dimension, its
-            // positive/negative inequality occurrences and whether an
-            // equation mentions it.
-            let mut occ: BTreeMap<Symbol, (i64, i64, bool)> = BTreeMap::new();
-            for row in store.live_rows() {
-                for (s, c) in row.expr.coefficients() {
-                    if !remaining.contains(s) {
-                        continue;
-                    }
-                    let e = occ.entry(*s).or_insert((0, 0, false));
-                    if row.kind == AtomKind::Eq {
-                        e.2 = true;
-                    } else if c.is_positive() {
-                        e.0 += 1;
-                    } else {
-                        e.1 += 1;
-                    }
-                }
-            }
-            // Dimensions no row mentions are already (vacuously) eliminated.
-            remaining.retain(|s| occ.contains_key(s));
-            let Some(d) = choose_dim(&occ) else { break };
-            remaining.remove(&d);
-            let imbert = if imbert_ok { Some(&dim_bits) } else { None };
-            if eliminate_rows(&mut store, &d, imbert) {
-                imbert_ok = false;
-            }
-            crate::stats::record_width(store.live as u64);
-            if let Some(limit) = abort_over {
-                if store.live > limit {
-                    self.constraints = store.into_pairs();
-                    return false;
-                }
-            }
-        }
-        if store.unsat {
-            if !remaining.is_empty() {
-                fm_stat!(EARLY_UNSAT_EXITS);
-            }
-            self.unsat = true;
-            self.constraints.clear();
-            return true;
-        }
-        self.constraints = store.into_pairs();
-        true
     }
 
     /// Projects onto the dimensions whose base symbols all satisfy `keep`,
@@ -1697,12 +2209,18 @@ impl Linearized {
         if self.unsat {
             return Polyhedron::contradiction();
         }
-        let mut atoms = Vec::new();
-        for (e, k) in &self.constraints {
-            let poly = self.delinearize(&e.normalize_gcd());
-            atoms.push(Atom { poly, kind: *k });
-        }
-        Polyhedron::from_atoms(atoms)
+        // The rows are the live rows of a store: non-constant, canonical
+        // and of pairwise distinct keys, so their integral atoms are
+        // canonical, non-trivial and distinct, and need no filtering.
+        let atoms = self
+            .constraints
+            .iter()
+            .map(|(e, kind)| Atom {
+                poly: self.delinearize(&e.normalize_gcd()),
+                kind: *kind,
+            })
+            .collect();
+        Polyhedron::from_parts(atoms)
     }
 }
 
@@ -1976,7 +2494,7 @@ mod tests {
     }
 
     /// A store row `Σ coeffs + constant ◇ 0` with an empty certificate.
-    fn fm_row(coeffs: &[(&str, i64)], constant: i64, kind: AtomKind) -> FmRow {
+    fn fm_row(coeffs: &[(&str, i64)], constant: i64, kind: AtomKind) -> FmRow<LinearExpr> {
         FmRow {
             expr: LinearExpr::from_parts(
                 coeffs.iter().map(|(s, k)| (Symbol::new(s), rat(*k))),
@@ -1988,7 +2506,7 @@ mod tests {
         }
     }
 
-    fn live(store: &RowStore) -> Vec<(String, AtomKind)> {
+    fn live(store: &RowStore<LinearExpr>) -> Vec<(String, AtomKind)> {
         store
             .live_rows()
             .map(|r| (r.expr.to_string(), r.kind))
@@ -2004,14 +2522,14 @@ mod tests {
         use AtomKind::Le;
         // Mask every key hash to zero: all rows land in one chain.
         KEY_HASH_MASK.with(|mask| mask.set(0));
-        let mut store = RowStore::default();
+        let mut store = RowStore::with_capacity(0);
         for name in ["x", "y", "z"] {
-            store.insert(fm_row(&[(name, 1)], -1, Le), false);
+            store.insert(fm_row(&[(name, 1)], -1, Le), false).unwrap();
         }
         assert_eq!(store.live, 3);
         assert_eq!(store.index.len(), 1);
         // A duplicate of the oldest row is found behind the two newer ones.
-        store.insert(fm_row(&[("x", 1)], -1, Le), false);
+        store.insert(fm_row(&[("x", 1)], -1, Le), false).unwrap();
         assert_eq!(store.rows.len(), 3);
         // Removing the middle of the chain leaves both ends findable.
         let y = store
@@ -2022,7 +2540,7 @@ mod tests {
         assert!(store.find(&fm_row(&[("x", 1)], 0, Le), 0).is_some());
         assert!(store.find(&fm_row(&[("z", 1)], 0, Le), 0).is_some());
         // A tighter `z` row replaces the chain's head; `x` stays findable.
-        store.insert(fm_row(&[("z", 1)], 1, Le), false);
+        store.insert(fm_row(&[("z", 1)], 1, Le), false).unwrap();
         assert!(store.find(&fm_row(&[("x", 1)], 0, Le), 0).is_some());
         assert_eq!(live(&store), rows(&[("x - 1", Le), ("z + 1", Le)]));
         KEY_HASH_MASK.with(|mask| mask.set(u64::MAX));
@@ -2070,29 +2588,37 @@ mod tests {
         let minus_p = fm_row(&[("x", -1), ("y", 1)], 0, Eq);
         assert_eq!(key_hash(&p), key_hash(&minus_p));
         // `p = 0` and `−p = 0` share a slot: the second is a duplicate...
-        let mut store = RowStore::default();
-        store.insert(p, false);
-        store.insert(minus_p, false);
+        let mut store = RowStore::with_capacity(0);
+        store.insert(p, false).unwrap();
+        store.insert(minus_p, false).unwrap();
         assert_eq!(store.live, 1);
         // ... and `−p + 1 = 0` contradicts `p = 0` in that slot.
-        store.insert(fm_row(&[("x", -1), ("y", 1)], 1, Eq), false);
+        store
+            .insert(fm_row(&[("x", -1), ("y", 1)], 1, Eq), false)
+            .unwrap();
         assert!(store.unsat);
         // `p ≤ 0` and `−p ≤ 0` are different constraints.
-        let mut store = RowStore::default();
-        store.insert(fm_row(&[("x", 1), ("y", -1)], 0, Le), false);
-        store.insert(fm_row(&[("x", -1), ("y", 1)], 0, Le), false);
+        let mut store = RowStore::with_capacity(0);
+        store
+            .insert(fm_row(&[("x", 1), ("y", -1)], 0, Le), false)
+            .unwrap();
+        store
+            .insert(fm_row(&[("x", -1), ("y", 1)], 0, Le), false)
+            .unwrap();
         assert_eq!(store.live, 2);
     }
 
     #[test]
     fn pos_neg_step_keeps_unchanged_rows_in_order_ahead_of_combinations() {
         use AtomKind::Le;
-        let mut store = RowStore::default();
-        store.insert(fm_row(&[("x", 1), ("d", -1)], 0, Le), false); // x ≤ d
-        store.insert(fm_row(&[("y", 1)], -1, Le), false);
-        store.insert(fm_row(&[("d", 1)], -5, Le), false); // d ≤ 5
-        store.insert(fm_row(&[("z", 1)], -2, Le), false);
-        assert!(!eliminate_rows(&mut store, &Symbol::new("d"), None));
+        let mut store = RowStore::with_capacity(0);
+        store
+            .insert(fm_row(&[("x", 1), ("d", -1)], 0, Le), false)
+            .unwrap(); // x ≤ d
+        store.insert(fm_row(&[("y", 1)], -1, Le), false).unwrap();
+        store.insert(fm_row(&[("d", 1)], -5, Le), false).unwrap(); // d ≤ 5
+        store.insert(fm_row(&[("z", 1)], -2, Le), false).unwrap();
+        assert!(!eliminate_rows(&mut store, Symbol::new("d"), None).unwrap());
         assert_eq!(
             live(&store),
             rows(&[("y - 1", Le), ("z - 2", Le), ("x - 5", Le)])
@@ -2102,13 +2628,15 @@ mod tests {
     #[test]
     fn substitution_step_keeps_surviving_rows_in_insertion_order() {
         use AtomKind::{Eq, Le};
-        let mut store = RowStore::default();
-        store.insert(fm_row(&[("y", 1)], -1, Le), false);
-        store.insert(fm_row(&[("d", 1), ("x", -1)], 0, Eq), false); // d = x
-        store.insert(fm_row(&[("z", 1)], -2, Le), false);
-        store.insert(fm_row(&[("w", 1)], -3, Le), false);
-        store.insert(fm_row(&[("d", 1)], -5, Le), false); // d ≤ 5
-        assert!(eliminate_rows(&mut store, &Symbol::new("d"), None));
+        let mut store = RowStore::with_capacity(0);
+        store.insert(fm_row(&[("y", 1)], -1, Le), false).unwrap();
+        store
+            .insert(fm_row(&[("d", 1), ("x", -1)], 0, Eq), false)
+            .unwrap(); // d = x
+        store.insert(fm_row(&[("z", 1)], -2, Le), false).unwrap();
+        store.insert(fm_row(&[("w", 1)], -3, Le), false).unwrap();
+        store.insert(fm_row(&[("d", 1)], -5, Le), false).unwrap(); // d ≤ 5
+        assert!(eliminate_rows(&mut store, Symbol::new("d"), None).unwrap());
         assert_eq!(
             live(&store),
             rows(&[("y - 1", Le), ("z - 2", Le), ("w - 3", Le), ("x - 5", Le)])
@@ -2120,5 +2648,197 @@ mod tests {
         let p = Polyhedron::from_atoms(vec![Atom::le(var("x"), c(3))]);
         let r = p.rename(&mut |s| s.primed());
         assert!(r.symbols().contains(&Symbol::new("x'")));
+    }
+
+    /// `Σ coeffs + constant ◇ 0` as an atom.
+    fn lin_atom(coeffs: &[(&str, i64)], constant: i64, kind: AtomKind) -> Atom {
+        let mut poly = c(constant);
+        for (s, k) in coeffs {
+            poly = &poly + &var(s).scale(&rat(*k));
+        }
+        Atom { poly, kind }
+    }
+
+    fn syms(names: &[&str]) -> Vec<Symbol> {
+        names.iter().map(|s| Symbol::new(s)).collect()
+    }
+
+    /// One projection pass over the linearized `atoms`, once as `project`
+    /// runs it (machine-integer rows first) and once on rational rows only.
+    fn pass_both_ways(
+        atoms: &[Atom],
+        drop: &[Symbol],
+        abort_over: Option<usize>,
+    ) -> (Pass<LinearExpr>, Pass<LinearExpr>) {
+        let mut sys = Linearized::new(atoms).expect("no ground-false atom");
+        let rational = run_pass(sys.constraints.clone(), drop.iter().copied(), abort_over)
+            .expect("rational rows do not overflow");
+        (sys.pass(drop, abort_over), rational)
+    }
+
+    /// Requires the two passes to leave the same rows, verdicts and counts,
+    /// and returns how many restarts the first one counted.
+    fn same_pass(int_first: &Pass<LinearExpr>, rational: &Pass<LinearExpr>) -> u64 {
+        assert_eq!(int_first.rows, rational.rows);
+        assert_eq!(int_first.unsat, rational.unsat);
+        assert_eq!(int_first.finished, rational.finished);
+        let restarts = int_first.stats.overflow_restarts;
+        assert_eq!(
+            FmStats {
+                overflow_restarts: 0,
+                ..int_first.stats
+            },
+            rational.stats
+        );
+        restarts
+    }
+
+    #[test]
+    fn integer_pass_that_overflows_after_generating_rows_restarts_and_counts_once() {
+        use AtomKind::Le;
+        let drop = syms(&["ov_t", "ov_a"]);
+        let (h, k, g, l) = ((1 << 40) + 1, (1 << 40) - 1, (1 << 41) + 1, (1 << 41) - 1);
+        // `ov_t` goes first (growth −1 against +1) and breeds `ov_a − 1 ≤ 0`
+        // from small rows; eliminating `ov_a` then multiplies ~2^40 by ~2^41.
+        let atoms = [
+            lin_atom(&[("ov_a", 1), ("ov_t", -1)], 0, Le),
+            lin_atom(&[("ov_t", 1)], -1, Le),
+            lin_atom(&[("ov_a", h), ("ov_b", k)], 0, Le),
+            lin_atom(&[("ov_a", -g), ("ov_b", l)], -1, Le),
+            lin_atom(&[("ov_a", 1), ("ov_b", 1)], -5, Le),
+            lin_atom(&[("ov_a", -1), ("ov_b", -1)], 0, Le),
+        ];
+        let sys = Linearized::new(&atoms).expect("satisfiable");
+        assert!(int_pass(&sys.constraints, &drop, None).is_err());
+        assert!(int_pass(&sys.constraints, &drop[..1], None).is_ok());
+        let (int_first, rational) = pass_both_ways(&atoms, &drop, None);
+        assert!(rational.stats.rows_generated > 1);
+        assert_eq!(same_pass(&int_first, &rational), 1);
+    }
+
+    #[test]
+    fn integer_rows_never_hold_i64_min() {
+        use AtomKind::Le;
+        // In the input: the pass never starts on integer rows.
+        let atoms = [
+            lin_atom(&[("mn_x", i64::MIN), ("mn_y", 1)], 0, Le),
+            lin_atom(&[("mn_x", 1)], -4, Le),
+            lin_atom(&[("mn_x", -1), ("mn_y", 3)], 0, Le),
+        ];
+        let drop = syms(&["mn_x"]);
+        let sys = Linearized::new(&atoms).expect("satisfiable");
+        assert!(int_pass(&sys.constraints, &drop, None).is_err());
+        let (int_first, rational) = pass_both_ways(&atoms, &drop, None);
+        assert_eq!(same_pass(&int_first, &rational), 1);
+        // Derived: `−2^62·y` doubled is exactly `i64::MIN`.
+        let atoms = [
+            lin_atom(&[("mn_d", 2), ("mn_z", 1)], 0, Le),
+            lin_atom(&[("mn_d", -1), ("mn_y", -(1 << 62))], 0, Le),
+        ];
+        let drop = syms(&["mn_d"]);
+        let sys = Linearized::new(&atoms).expect("satisfiable");
+        assert!(int_pass(&sys.constraints, &drop, None).is_err());
+        let (int_first, rational) = pass_both_ways(&atoms, &drop, None);
+        assert_eq!(same_pass(&int_first, &rational), 1);
+    }
+
+    #[test]
+    fn integer_pass_breaks_growth_ties_toward_the_least_symbol() {
+        use AtomKind::Le;
+        // `tb_a` sorts before `tb_b` but occurs after it; both have growth
+        // −1, so the tie decides which goes first.
+        let drop = syms(&["tb_a", "tb_b", "tb_d"]);
+        let atoms = [
+            lin_atom(&[("tb_b", 1), ("tb_d", 1)], 0, Le),
+            lin_atom(&[("tb_b", -1)], 0, Le),
+            lin_atom(&[("tb_a", 1), ("tb_d", -1)], 0, Le),
+            lin_atom(&[("tb_a", -1)], -1, Le),
+        ];
+        let (int_first, rational) = pass_both_ways(&atoms, &drop[..2], None);
+        assert_eq!(same_pass(&int_first, &rational), 0);
+        // `tb_a` went first, so its combination is the older row.
+        assert_eq!(
+            rational.rows,
+            vec![
+                (LinearExpr::from_parts([(drop[2], rat(-1))], rat(-1)), Le),
+                (LinearExpr::var(drop[2]), Le),
+            ]
+        );
+    }
+
+    /// The Kohler regression system of `prop_fm.rs` over `a`, `b`, `c`.
+    fn kohler_rows(a: &str, b: &str, c: &str) -> Vec<Atom> {
+        [
+            [1, 0, 2, 2],
+            [1, -3, -2, 8],
+            [-3, 3, -1, -2],
+            [1, 1, -2, -6],
+            [-3, 3, 1, 7],
+            [-2, -2, 0, -1],
+        ]
+        .iter()
+        .map(|&[x, y, z, k]| lin_atom(&[(a, x), (b, y), (c, z)], k, AtomKind::Le))
+        .collect()
+    }
+
+    #[test]
+    fn integer_pass_keeps_first_occurrence_dimension_bits_past_128_dimensions() {
+        // The core symbols sort first, but a first row over 130 symbols of
+        // its own occurs before them, so the core dimensions take gone-set
+        // bits past 128 and Kohler's skip is declined for their
+        // descendants (the rows themselves keep exact ancestor bits).
+        let core = syms(&["wide_a", "wide_b", "wide_c"]);
+        let fillers: Vec<String> = (0..130).map(|i| format!("wide_f{i}")).collect();
+        let wide_row: Vec<(&str, i64)> = fillers.iter().map(|f| (f.as_str(), 1)).collect();
+        let mut atoms = vec![lin_atom(&wide_row, -1, AtomKind::Le)];
+        atoms.extend(kohler_rows("wide_a", "wide_b", "wide_c"));
+        let drop = &core[..2];
+        let (narrow_int, narrow) = pass_both_ways(&atoms[1..], drop, None);
+        assert_eq!(same_pass(&narrow_int, &narrow), 0);
+        assert!(narrow.stats.imbert_skipped > 0);
+        let (wide_int, wide) = pass_both_ways(&atoms, drop, None);
+        assert_eq!(same_pass(&wide_int, &wide), 0);
+        assert_eq!(wide.stats.imbert_skipped, 0);
+    }
+
+    #[test]
+    fn integer_pass_substitutes_like_the_rational_pass() {
+        use AtomKind::{Eq, Le, Lt};
+        let atoms = [
+            lin_atom(&[("su_d", 3), ("su_x", -1)], 1, Eq),
+            lin_atom(&[("su_e", -2), ("su_x", 1), ("su_y", 1)], 0, Eq),
+            lin_atom(&[("su_d", 1)], -5, Le),
+            lin_atom(&[("su_x", 1), ("su_d", -2)], -3, Lt),
+            lin_atom(&[("su_e", 2), ("su_y", 3), ("su_d", 1)], 7, Le),
+            lin_atom(&[("su_e", -4), ("su_y", 2)], 1, Le),
+            lin_atom(&[("su_x", 2), ("su_y", 2), ("su_e", 1)], 1, Le),
+        ];
+        let drop = syms(&["su_d", "su_e", "su_x"]);
+        let (int_first, rational) = pass_both_ways(&atoms, &drop, None);
+        assert_eq!(same_pass(&int_first, &rational), 0);
+        assert!(!rational.rows.is_empty());
+        // A fractional constant survives into the result.
+        assert!(rational
+            .rows
+            .iter()
+            .any(|(e, _)| !e.constant_term().is_integer()));
+    }
+
+    #[test]
+    fn integer_pass_stops_at_abort_over_like_the_rational_pass() {
+        let x = |i: usize| format!("ab_x{i}");
+        let mut atoms = Vec::new();
+        for i in 0..4 {
+            let (lo, hi) = (x(i), x(i + 1));
+            atoms.push(lin_atom(&[(&lo, 1), (&hi, -2)], 1, AtomKind::Le));
+            atoms.push(lin_atom(&[(&lo, -3), (&hi, 1)], -2, AtomKind::Le));
+        }
+        let drop = syms(&["ab_x1", "ab_x2", "ab_x3"]);
+        let (int_first, rational) = pass_both_ways(&atoms, &drop, Some(4));
+        assert_eq!(same_pass(&int_first, &rational), 0);
+        assert!(!rational.finished);
+        let (int_first, rational) = pass_both_ways(&atoms, &drop, None);
+        assert_eq!(same_pass(&int_first, &rational), 0);
+        assert!(rational.finished);
     }
 }

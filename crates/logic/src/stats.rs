@@ -5,13 +5,20 @@
 //! produces and every row the redundancy-control layers discard —
 //! hash-cons dedup, quasi-syntactic domination, Imbert's acceleration —
 //! plus the early-unsat exits, the widest intermediate system any
-//! elimination step produced, and how many emptiness decisions were made,
-//! how many of them the per-run memo ([`crate::EmptinessMemo`]) answered,
-//! and how many a simplex witness answered "non-empty" — the last two
-//! without eliminating.  The counters are process-wide relaxed
+//! elimination step produced, the passes rerun on rational rows because a
+//! value did not fit a machine-integer row, and how many emptiness
+//! decisions were made, how many of them the per-run memo
+//! ([`crate::EmptinessMemo`]) answered, and how many a simplex witness
+//! answered "non-empty" — the last two without eliminating.  A pass
+//! buffers its row counts and publishes them when it ends, so a pass that
+//! reruns counts its rows once.  The counters are process-wide relaxed
 //! atomics, mirroring `chora_numeric::stats`, and [`register_metrics`]
 //! publishes the same cells into the [`chora_telemetry::metrics`] registry
 //! as `chora_fm_*` series for the `/v1/metrics` scrape.
+//!
+//! The elimination arithmetic itself runs on machine-integer rows and does
+//! not show in `chora_numeric::stats`: only a rerun pass, and the
+//! conversions between atoms and rows, use `BigInt`/`BigRational`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Once;
@@ -41,6 +48,9 @@ pub struct FmStats {
     /// `is_empty_set` decisions answered "non-empty" by a simplex witness
     /// instead of a Fourier–Motzkin run.
     pub emptiness_witnesses: u64,
+    /// Projection passes rerun on rational rows because a value did not
+    /// fit a machine-integer row (found in the input or mid-pass).
+    pub overflow_restarts: u64,
 }
 
 pub(crate) static ROWS_GENERATED: AtomicU64 = AtomicU64::new(0);
@@ -52,6 +62,7 @@ pub(crate) static MAX_WIDTH: AtomicU64 = AtomicU64::new(0);
 pub(crate) static EMPTINESS_CHECKS: AtomicU64 = AtomicU64::new(0);
 pub(crate) static EMPTINESS_MEMO_HITS: AtomicU64 = AtomicU64::new(0);
 pub(crate) static EMPTINESS_WITNESSES: AtomicU64 = AtomicU64::new(0);
+pub(crate) static OVERFLOW_RESTARTS: AtomicU64 = AtomicU64::new(0);
 
 /// Reads the current counter values.
 pub fn snapshot() -> FmStats {
@@ -65,6 +76,7 @@ pub fn snapshot() -> FmStats {
         emptiness_checks: EMPTINESS_CHECKS.load(Ordering::Relaxed),
         emptiness_memo_hits: EMPTINESS_MEMO_HITS.load(Ordering::Relaxed),
         emptiness_witnesses: EMPTINESS_WITNESSES.load(Ordering::Relaxed),
+        overflow_restarts: OVERFLOW_RESTARTS.load(Ordering::Relaxed),
     }
 }
 
@@ -79,11 +91,42 @@ pub fn reset() {
     EMPTINESS_CHECKS.store(0, Ordering::Relaxed);
     EMPTINESS_MEMO_HITS.store(0, Ordering::Relaxed);
     EMPTINESS_WITNESSES.store(0, Ordering::Relaxed);
+    OVERFLOW_RESTARTS.store(0, Ordering::Relaxed);
 }
 
-#[inline]
-pub(crate) fn record_width(width: u64) {
-    MAX_WIDTH.fetch_max(width, Ordering::Relaxed);
+/// Adds a pass's buffered increments to the counters (`max_width` as a
+/// maximum).
+pub(crate) fn publish(delta: &FmStats) {
+    let FmStats {
+        rows_generated,
+        rows_deduped,
+        rows_dominated,
+        imbert_skipped,
+        early_unsat_exits,
+        max_width,
+        emptiness_checks,
+        emptiness_memo_hits,
+        emptiness_witnesses,
+        overflow_restarts,
+    } = *delta;
+    for (counter, n) in [
+        (&ROWS_GENERATED, rows_generated),
+        (&ROWS_DEDUPED, rows_deduped),
+        (&ROWS_DOMINATED, rows_dominated),
+        (&IMBERT_SKIPPED, imbert_skipped),
+        (&EARLY_UNSAT_EXITS, early_unsat_exits),
+        (&EMPTINESS_CHECKS, emptiness_checks),
+        (&EMPTINESS_MEMO_HITS, emptiness_memo_hits),
+        (&EMPTINESS_WITNESSES, emptiness_witnesses),
+        (&OVERFLOW_RESTARTS, overflow_restarts),
+    ] {
+        if n != 0 {
+            counter.fetch_add(n, Ordering::Relaxed);
+        }
+    }
+    if max_width != 0 {
+        MAX_WIDTH.fetch_max(max_width, Ordering::Relaxed);
+    }
 }
 
 #[inline]
@@ -136,6 +179,11 @@ pub fn register_metrics() {
             "chora_fm_emptiness_witnesses_total",
             "FM emptiness decisions answered non-empty by a simplex witness.",
             &EMPTINESS_WITNESSES,
+        );
+        registry.register_counter_static(
+            "chora_fm_overflow_restarts_total",
+            "FM projection passes rerun on rational rows after a machine-integer overflow.",
+            &OVERFLOW_RESTARTS,
         );
         registry.register_gauge_static(
             "chora_fm_max_width",

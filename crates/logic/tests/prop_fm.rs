@@ -17,6 +17,11 @@
 //! * single-atom and batched (`implies_all`, with its early-unsat exit)
 //!   entailment agree with the naive oracle.
 //!
+//! Each property also draws a system whose coefficients and constants run
+//! up to 2^62 in size.  Combining two such rows overflows the
+//! machine-integer rows a pass starts on, so these systems exercise the
+//! rerun on rational rows against the oracle.
+//!
 //! The per-run emptiness memo is checked for transparency on the same
 //! systems: answers inside an [`EmptinessMemo`] scope, first and repeated,
 //! equal the memo-free answers and the naive oracle's, and the scopes nest
@@ -73,6 +78,41 @@ fn atom_strategy() -> impl Strategy<Value = Atom> {
 
 fn polyhedron_strategy() -> impl Strategy<Value = Polyhedron> {
     prop::collection::vec(atom_strategy(), 1..8).prop_map(Polyhedron::from_atoms)
+}
+
+/// A coefficient of up to 2^62 in size half the time, a small one
+/// otherwise, so some eliminations overflow an `i64` and others do not.
+fn large_value_strategy() -> impl Strategy<Value = i64> {
+    (any::<bool>(), -3i64..=3, -(1i64 << 62)..=1i64 << 62)
+        .prop_map(|(large, small, big)| if large { big } else { small })
+}
+
+/// One random linear atom as [`atom_strategy`] draws it, with coefficients
+/// and constant from [`large_value_strategy`].
+fn large_atom_strategy() -> impl Strategy<Value = Atom> {
+    (
+        large_value_strategy(),
+        large_value_strategy(),
+        large_value_strategy(),
+        large_value_strategy(),
+        0i64..6,
+    )
+        .prop_map(|(a, b, c, d, kind)| {
+            let poly = linear(a, b, c, d);
+            match kind {
+                0..=3 => Atom::le_zero(poly),
+                4 => Atom::lt_zero(poly),
+                _ => Atom::eq_zero(poly),
+            }
+        })
+}
+
+/// At most six atoms: large coefficients leave the naive oracle no parallel
+/// rows to merge, and six rows plus a negated goal over three variables
+/// combine into at most 12, 36 and 324 rows, under its 600-row budget, so
+/// the oracle stays exact.
+fn large_polyhedron_strategy() -> impl Strategy<Value = Polyhedron> {
+    prop::collection::vec(large_atom_strategy(), 1..7).prop_map(Polyhedron::from_atoms)
 }
 
 /// A linear atom `a·x + b·y + d ◇ 0` whose constant is −1, 0 or 1 (0 half
@@ -179,8 +219,9 @@ proptest! {
         p in polyhedron_strategy(),
         boundary in prop::collection::vec(boundary_atom_strategy(), 1..7)
             .prop_map(Polyhedron::from_atoms),
+        large in large_polyhedron_strategy(),
     ) {
-        for p in [&p, &boundary] {
+        for p in [&p, &boundary, &large] {
             prop_assert_eq!(p.is_empty_set(), p.is_empty_set_naive(), "p = {}", p);
         }
     }
@@ -192,6 +233,7 @@ proptest! {
     #[test]
     fn projection_is_entailment_equivalent_to_naive(
         p in polyhedron_strategy(),
+        large in large_polyhedron_strategy(),
         keep_mask in 1u8..7,
     ) {
         let keep: BTreeSet<Symbol> = VARS
@@ -200,32 +242,34 @@ proptest! {
             .filter(|(i, _)| keep_mask & (1 << i) != 0)
             .map(|(_, name)| sym(name))
             .collect();
-        let pruned = p.project_onto(&keep);
-        let naive = p.project_onto_naive(&keep);
-        prop_assert_eq!(
-            pruned.is_empty_set(),
-            naive.is_empty_set_naive(),
-            "projections disagree on emptiness: pruned {} vs naive {}",
-            &pruned,
-            &naive
-        );
-        // Each engine's result is checked by the other engine: the pruned
-        // projection must not be weaker than the naive one, nor stronger.
-        for atom in pruned.atoms() {
-            prop_assert!(
-                naive.implies_atom_naive(atom),
-                "pruned constraint {} not entailed by naive projection {}",
-                atom,
+        for p in [&p, &large] {
+            let pruned = p.project_onto(&keep);
+            let naive = p.project_onto_naive(&keep);
+            prop_assert_eq!(
+                pruned.is_empty_set(),
+                naive.is_empty_set_naive(),
+                "projections disagree on emptiness: pruned {} vs naive {}",
+                &pruned,
                 &naive
             );
-        }
-        for atom in naive.atoms() {
-            prop_assert!(
-                pruned.implies_atom(atom),
-                "naive constraint {} not entailed by pruned projection {}",
-                atom,
-                &pruned
-            );
+            // Each engine's result is checked by the other engine: the pruned
+            // projection must not be weaker than the naive one, nor stronger.
+            for atom in pruned.atoms() {
+                prop_assert!(
+                    naive.implies_atom_naive(atom),
+                    "pruned constraint {} not entailed by naive projection {}",
+                    atom,
+                    &naive
+                );
+            }
+            for atom in naive.atoms() {
+                prop_assert!(
+                    pruned.implies_atom(atom),
+                    "naive constraint {} not entailed by pruned projection {}",
+                    atom,
+                    &pruned
+                );
+            }
         }
     }
 
@@ -233,53 +277,65 @@ proptest! {
     fn single_entailment_agrees_with_naive(
         p in polyhedron_strategy(),
         goal in atom_strategy(),
+        large in large_polyhedron_strategy(),
+        large_goal in large_atom_strategy(),
     ) {
-        prop_assert_eq!(p.implies_atom(&goal), p.implies_atom_naive(&goal));
+        for (p, goal) in [(&p, &goal), (&large, &large_goal), (&large, &goal)] {
+            prop_assert_eq!(p.implies_atom(goal), p.implies_atom_naive(goal), "p = {}", p);
+        }
     }
 
     #[test]
     fn batched_entailment_agrees_with_naive_per_atom(
         p in polyhedron_strategy(),
         goals in prop::collection::vec(atom_strategy(), 1..5),
+        large in large_polyhedron_strategy(),
+        large_goals in prop::collection::vec(large_atom_strategy(), 1..5),
     ) {
         // `implies_all` shares one elimination pass across the goals and
         // exits early on a derived contradiction; the naive oracle runs one
         // fixed-order check per goal.  On budget-free systems they must
         // agree — in particular for unsatisfiable `p`, where the early-unsat
         // exit answers for every goal at once.
-        let batched = p.implies_all(&goals);
-        let oracle = goals.iter().all(|g| p.implies_atom_naive(g));
-        prop_assert_eq!(batched, oracle, "p = {}", &p);
+        for (p, goals) in [(&p, &goals), (&large, &large_goals)] {
+            let batched = p.implies_all(goals);
+            let oracle = goals.iter().all(|g| p.implies_atom_naive(g));
+            prop_assert_eq!(batched, oracle, "p = {}", p);
+        }
     }
 
     #[test]
     fn memoized_answers_equal_direct_and_naive_answers(
         p in polyhedron_strategy(),
         goals in prop::collection::vec(atom_strategy(), 1..5),
+        large in large_polyhedron_strategy(),
+        large_goals in prop::collection::vec(large_atom_strategy(), 1..5),
     ) {
         let _lock = memo_lock();
-        let direct = (
-            p.is_empty_set(),
-            goals.iter().map(|g| p.implies_atom(g)).collect::<Vec<_>>(),
-            p.implies_all(&goals),
-        );
-        prop_assert_eq!(direct.0, p.is_empty_set_naive(), "p = {}", &p);
-        for (g, implied) in goals.iter().zip(&direct.1) {
-            prop_assert_eq!(*implied, p.implies_atom_naive(g), "p = {}, goal = {}", &p, g);
-        }
-        prop_assert_eq!(direct.2, direct.1.iter().all(|&b| b), "p = {}", &p);
-        let _memo = EmptinessMemo::open();
-        // First answers fill the memo; repeats are answered from it.
-        for round in 0..2 {
-            let hits = memo_hits();
-            let memoized = (
+        for (p, goals) in [(&p, &goals), (&large, &large_goals)] {
+            let direct = (
                 p.is_empty_set(),
                 goals.iter().map(|g| p.implies_atom(g)).collect::<Vec<_>>(),
-                p.implies_all(&goals),
+                p.implies_all(goals),
             );
-            prop_assert_eq!(&memoized, &direct, "round {}: p = {}", round, &p);
-            if round == 1 {
-                prop_assert!(memo_hits() > hits, "repeats must hit the memo");
+            prop_assert_eq!(direct.0, p.is_empty_set_naive(), "p = {}", p);
+            for (g, implied) in goals.iter().zip(&direct.1) {
+                prop_assert_eq!(*implied, p.implies_atom_naive(g), "p = {}, goal = {}", p, g);
+            }
+            prop_assert_eq!(direct.2, direct.1.iter().all(|&b| b), "p = {}", p);
+            let _memo = EmptinessMemo::open();
+            // First answers fill the memo; repeats are answered from it.
+            for round in 0..2 {
+                let hits = memo_hits();
+                let memoized = (
+                    p.is_empty_set(),
+                    goals.iter().map(|g| p.implies_atom(g)).collect::<Vec<_>>(),
+                    p.implies_all(goals),
+                );
+                prop_assert_eq!(&memoized, &direct, "round {}: p = {}", round, p);
+                if round == 1 {
+                    prop_assert!(memo_hits() > hits, "repeats must hit the memo");
+                }
             }
         }
     }

@@ -170,9 +170,11 @@ impl BigInt {
 
     /// The inline value, if this integer is in the inline representation.
     /// (Heap-held values return `None` even when they would fit — dispatch
-    /// is by representation, conversion is [`BigInt::to_i64`].)
+    /// is by representation, conversion is [`BigInt::to_i64`].)  Callers
+    /// with a machine-word path of their own take values through this, so
+    /// [`crate::stats::set_force_heap`] still sends them to heap arithmetic.
     #[inline]
-    pub(crate) fn as_small(&self) -> Option<i64> {
+    pub fn as_small(&self) -> Option<i64> {
         match self.repr {
             Repr::Small(v) => Some(v),
             Repr::Heap(..) => None,

@@ -14,6 +14,13 @@
 //! the process-wide [`chora_telemetry::metrics`] registry so a
 //! `/v1/metrics` scrape renders them as `chora_numeric_*` series.
 //!
+//! They count arithmetic on these types only.  `chora_logic`'s
+//! Fourier–Motzkin passes eliminate on machine-integer rows of their own,
+//! so elimination shows here only when a pass reruns on rational rows
+//! after an overflow, or when forced-heap mode keeps values off the
+//! machine-integer rows; the conversions between atoms and rows still
+//! count.
+//!
 //! [`set_force_heap`] is a process-wide switch that makes every
 //! constructor produce the heap representation and disables demotion —
 //! this is how the FM micro-benchmark measures the pre-fast-path

@@ -51,6 +51,7 @@ fn fm_work_of_one_suite_pass_is_pinned() {
             emptiness_checks: 8_404,
             emptiness_memo_hits: 4_750,
             emptiness_witnesses: 2_355,
+            overflow_restarts: 0,
         }
     );
 }
