@@ -38,7 +38,7 @@
 //! and `-` as FILE to read the program from stdin.
 
 pub mod driver;
-pub mod json;
+pub use chora_telemetry::json;
 pub mod lexer;
 pub mod parser;
 pub mod printer;

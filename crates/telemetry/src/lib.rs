@@ -21,5 +21,6 @@
 //! stdout: traces go to a separate file or response field, and goldens stay
 //! byte-identical with tracing on or off.
 
+pub mod json;
 pub mod metrics;
 pub mod trace;
