@@ -1,8 +1,8 @@
 //! End-to-end tests of `chora serve`: byte-identity of daemon responses
 //! against the CLI documents, the in-memory warm path, error envelopes,
-//! concurrent clients, graceful shutdown draining, batch vs single-shot
-//! byte-identity, and eviction under a byte cap never corrupting a
-//! response.
+//! hostile bodies, concurrent clients, graceful shutdown draining, batch
+//! vs single-shot byte-identity, and eviction under a byte cap never
+//! corrupting a response.
 //!
 //! Every test runs its own daemon on an ephemeral port via
 //! [`chora_cli::spawn_server`] and talks real HTTP through the bundled
@@ -305,6 +305,38 @@ fn batch_responses_are_byte_identical_to_single_shot_sequences() {
 }
 
 #[test]
+fn batch_elements_decode_surrogate_pairs_like_single_shot_names() {
+    let name = "\u{1f600}.imp";
+    let source = std::fs::read_to_string(example("fib.imp")).expect("read example");
+    let (single_handle, _single_service) = daemon(ServeOptions::default());
+    let (status, single) = post_source(&single_handle.addr().to_string(), name, &source, "");
+    assert_eq!(status, 200, "{single}");
+    assert!(single.contains(name), "{single}");
+    single_handle.shutdown();
+
+    // The element as Python's `json.dumps` writes it: the non-BMP
+    // character escaped as a UTF-16 surrogate pair.
+    let body = format!(
+        "[{{\"file\": \"\\ud83d\\ude00.imp\", \"source\": {}}}]",
+        Json::str(source).compact()
+    );
+    let (batch_handle, _batch_service) = daemon(ServeOptions::default());
+    let (status, batch) = one_shot(
+        &batch_handle.addr().to_string(),
+        "POST",
+        "/v1/batch",
+        Some(&body),
+    )
+    .expect("batch");
+    assert_eq!(status, 200, "{batch}");
+    assert_eq!(
+        strip_timing(&batch),
+        strip_timing(&format!("[\n{}\n]\n", single.trim_end_matches('\n')))
+    );
+    batch_handle.shutdown();
+}
+
+#[test]
 fn batch_documents_are_independent_of_the_jobs_parameter() {
     // The ready-queue scheduler merges every program of a batch into one
     // task graph; whatever `?jobs=N` asks for, the canonical fold order
@@ -406,6 +438,24 @@ fn malformed_requests_get_json_error_envelopes() {
         "agreeing duplicates must not 400: {response}"
     );
 
+    handle.shutdown();
+}
+
+#[test]
+fn deeply_nested_bodies_get_400_and_the_daemon_keeps_serving() {
+    let (handle, _service) = daemon(ServeOptions::default());
+    let addr = handle.addr().to_string();
+    // Without a nesting bound, parsing this overflows the worker's stack
+    // and aborts the whole process.
+    let deep = "[".repeat(200_000);
+    let (status, body) = one_shot(&addr, "POST", "/v1/batch", Some(&deep)).expect("batch");
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("nesting deeper than"), "{body}");
+    let put = "/v1/summaries/0123456789abcdef0123456789abcdef";
+    let (status, body) = one_shot(&addr, "PUT", put, Some(&deep)).expect("put");
+    assert_eq!(status, 400, "{body}");
+    let (status, body) = one_shot(&addr, "GET", "/v1/healthz", None).expect("healthz");
+    assert_eq!(status, 200, "{body}");
     handle.shutdown();
 }
 

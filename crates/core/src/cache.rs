@@ -1,8 +1,9 @@
 //! Stable (de)serialization of procedure summaries for the persistent
 //! summary cache.
 //!
-//! The encoding is a hand-rolled compact JSON document (the build
-//! environment is offline — no serde), designed for *exact* round-trips:
+//! The encoding is a one-line JSON document, built, rendered
+//! ([`Json::compact`]) and parsed with [`chora_telemetry::json`], and
+//! designed for *exact* round-trips:
 //! decoding an encoded [`ProcedureSummary`] reproduces the original value
 //! bit-for-bit, including the internal order of polyhedron atoms and
 //! transition-formula disjuncts, so a cache hit leaves no observable trace
@@ -39,8 +40,8 @@ use chora_expr::{ExpPoly, Monomial, Polynomial, Symbol, SymbolKind, Term};
 use chora_ir::{Fingerprint, FingerprintBuilder};
 use chora_logic::{Atom, AtomKind, Polyhedron, TransitionFormula};
 use chora_numeric::BigRational;
+use chora_telemetry::json::Json;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Format tag and version of the cache entry layout.  Bump the version on
@@ -177,292 +178,6 @@ impl ScopeResolver for ComponentScopes {
 }
 
 // ---------------------------------------------------------------------------
-// A minimal JSON value, writer, and parser.
-// ---------------------------------------------------------------------------
-
-/// A JSON value (only the subset the cache encoding uses).
-#[derive(Clone, Debug, PartialEq)]
-enum Value {
-    Null,
-    Bool(bool),
-    Int(i64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    fn obj(fields: Vec<(&str, Value)>) -> Value {
-        Value::Obj(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
-    }
-
-    fn field<'a>(&'a self, key: &str) -> Option<&'a Value> {
-        match self {
-            Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            Value::Int(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Value::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            Value::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Value::Obj(fields) => {
-                out.push('{');
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    Value::Str(key.clone()).write(out);
-                    out.push(':');
-                    value.write(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
-    fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-}
-
-/// A tiny recursive-descent JSON parser.  Returns `None` on any malformed
-/// input (including trailing garbage).
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn parse(text: &'a str) -> Option<Value> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        (p.pos == p.bytes.len()).then_some(v)
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> Option<()> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn eat_literal(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self) -> Option<Value> {
-        self.skip_ws();
-        match *self.bytes.get(self.pos)? {
-            b'n' => self.eat_literal("null").then_some(Value::Null),
-            b't' => self.eat_literal("true").then_some(Value::Bool(true)),
-            b'f' => self.eat_literal("false").then_some(Value::Bool(false)),
-            b'"' => self.string().map(Value::Str),
-            b'[' => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.bytes.get(self.pos) == Some(&b']') {
-                    self.pos += 1;
-                    return Some(Value::Arr(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    self.skip_ws();
-                    match self.bytes.get(self.pos)? {
-                        b',' => self.pos += 1,
-                        b']' => {
-                            self.pos += 1;
-                            return Some(Value::Arr(items));
-                        }
-                        _ => return None,
-                    }
-                }
-            }
-            b'{' => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                self.skip_ws();
-                if self.bytes.get(self.pos) == Some(&b'}') {
-                    self.pos += 1;
-                    return Some(Value::Obj(fields));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.eat(b':')?;
-                    fields.push((key, self.value()?));
-                    self.skip_ws();
-                    match self.bytes.get(self.pos)? {
-                        b',' => self.pos += 1,
-                        b'}' => {
-                            self.pos += 1;
-                            return Some(Value::Obj(fields));
-                        }
-                        _ => return None,
-                    }
-                }
-            }
-            b'-' | b'0'..=b'9' => self.number(),
-            _ => None,
-        }
-    }
-
-    fn string(&mut self) -> Option<String> {
-        if self.bytes.get(self.pos) != Some(&b'"') {
-            return None;
-        }
-        self.pos += 1;
-        let mut out = String::new();
-        loop {
-            match *self.bytes.get(self.pos)? {
-                b'"' => {
-                    self.pos += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    match *self.bytes.get(self.pos)? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self.bytes.get(self.pos + 1..self.pos + 5)?;
-                            let code =
-                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                            out.push(char::from_u32(code)?);
-                            self.pos += 4;
-                        }
-                        _ => return None,
-                    }
-                    self.pos += 1;
-                }
-                b => {
-                    // Re-decode UTF-8 starting here (multi-byte sequences).
-                    if b < 0x80 {
-                        out.push(b as char);
-                        self.pos += 1;
-                    } else {
-                        let rest = std::str::from_utf8(&self.bytes[self.pos..]).ok()?;
-                        let c = rest.chars().next()?;
-                        out.push(c);
-                        self.pos += c.len_utf8();
-                    }
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Option<Value> {
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()?
-            .parse()
-            .ok()
-            .map(Value::Int)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Symbol / rational / polynomial codecs.
 // ---------------------------------------------------------------------------
 
@@ -537,7 +252,7 @@ impl ScopeDecoder<'_> {
     }
 }
 
-fn encode_symbol(s: &Symbol, enc: &mut ScopeEncoder<'_>) -> Value {
+fn encode_symbol(s: &Symbol, enc: &mut ScopeEncoder<'_>) -> Json {
     let text = match s.kind() {
         SymbolKind::Named => format!("n:{s}"),
         SymbolKind::Post => format!("p:{}", s.unprimed()),
@@ -551,10 +266,10 @@ fn encode_symbol(s: &Symbol, enc: &mut ScopeEncoder<'_>) -> Value {
         SymbolKind::Dimension(i) => format!("d:{i}"),
         SymbolKind::Scratch(i) => format!("a:{i}"),
     };
-    Value::Str(text)
+    Json::Str(text)
 }
 
-fn decode_symbol(v: &Value, dec: &ScopeDecoder<'_>) -> Option<Symbol> {
+fn decode_symbol(v: &Json, dec: &ScopeDecoder<'_>) -> Option<Symbol> {
     let text = v.as_str()?;
     match text {
         "h" => return Some(Symbol::height()),
@@ -589,26 +304,26 @@ fn decode_symbol(v: &Value, dec: &ScopeDecoder<'_>) -> Option<Symbol> {
     }
 }
 
-fn encode_rational(r: &BigRational) -> Value {
-    Value::Str(r.to_string())
+fn encode_rational(r: &BigRational) -> Json {
+    Json::Str(r.to_string())
 }
 
-fn decode_rational(v: &Value) -> Option<BigRational> {
+fn decode_rational(v: &Json) -> Option<BigRational> {
     v.as_str()?.parse().ok()
 }
 
-fn encode_monomial(m: &Monomial, enc: &mut ScopeEncoder<'_>) -> Value {
-    Value::Arr(
+fn encode_monomial(m: &Monomial, enc: &mut ScopeEncoder<'_>) -> Json {
+    Json::Array(
         m.powers()
-            .map(|(s, e)| Value::Arr(vec![encode_symbol(s, enc), Value::Int(i64::from(e))]))
+            .map(|(s, e)| Json::Array(vec![encode_symbol(s, enc), Json::Int(i64::from(e))]))
             .collect(),
     )
 }
 
-fn decode_monomial(v: &Value, dec: &ScopeDecoder<'_>) -> Option<Monomial> {
+fn decode_monomial(v: &Json, dec: &ScopeDecoder<'_>) -> Option<Monomial> {
     let mut powers = Vec::new();
-    for item in v.as_arr()? {
-        let [sym, exp] = item.as_arr()? else {
+    for item in v.as_array()? {
+        let [sym, exp] = item.as_array()? else {
             return None;
         };
         let e = exp.as_int()?;
@@ -620,18 +335,18 @@ fn decode_monomial(v: &Value, dec: &ScopeDecoder<'_>) -> Option<Monomial> {
     Some(Monomial::from_powers(powers))
 }
 
-fn encode_polynomial(p: &Polynomial, enc: &mut ScopeEncoder<'_>) -> Value {
-    Value::Arr(
+fn encode_polynomial(p: &Polynomial, enc: &mut ScopeEncoder<'_>) -> Json {
+    Json::Array(
         p.terms()
-            .map(|(m, c)| Value::Arr(vec![encode_rational(c), encode_monomial(m, enc)]))
+            .map(|(m, c)| Json::Array(vec![encode_rational(c), encode_monomial(m, enc)]))
             .collect(),
     )
 }
 
-fn decode_polynomial(v: &Value, dec: &ScopeDecoder<'_>) -> Option<Polynomial> {
+fn decode_polynomial(v: &Json, dec: &ScopeDecoder<'_>) -> Option<Polynomial> {
     let mut terms = Vec::new();
-    for item in v.as_arr()? {
-        let [coeff, mono] = item.as_arr()? else {
+    for item in v.as_array()? {
+        let [coeff, mono] = item.as_array()? else {
             return None;
         };
         terms.push((decode_rational(coeff)?, decode_monomial(mono, dec)?));
@@ -639,27 +354,26 @@ fn decode_polynomial(v: &Value, dec: &ScopeDecoder<'_>) -> Option<Polynomial> {
     Some(Polynomial::from_terms(terms))
 }
 
-fn encode_exppoly(e: &ExpPoly, enc: &mut ScopeEncoder<'_>) -> Value {
-    Value::obj(vec![
-        ("param", encode_symbol(e.param(), enc)),
-        (
+fn encode_exppoly(e: &ExpPoly, enc: &mut ScopeEncoder<'_>) -> Json {
+    Json::object()
+        .field("param", encode_symbol(e.param(), enc))
+        .field(
             "terms",
-            Value::Arr(
+            Json::Array(
                 e.terms()
                     .map(|(base, poly)| {
-                        Value::Arr(vec![encode_rational(base), encode_polynomial(poly, enc)])
+                        Json::Array(vec![encode_rational(base), encode_polynomial(poly, enc)])
                     })
                     .collect(),
             ),
-        ),
-    ])
+        )
 }
 
-fn decode_exppoly(v: &Value, dec: &ScopeDecoder<'_>) -> Option<ExpPoly> {
-    let param = decode_symbol(v.field("param")?, dec)?;
+fn decode_exppoly(v: &Json, dec: &ScopeDecoder<'_>) -> Option<ExpPoly> {
+    let param = decode_symbol(v.get("param")?, dec)?;
     let mut out = ExpPoly::zero(&param);
-    for item in v.field("terms")?.as_arr()? {
-        let [base, poly] = item.as_arr()? else {
+    for item in v.get("terms")?.as_array()? {
+        let [base, poly] = item.as_array()? else {
             return None;
         };
         let base = decode_rational(base)?;
@@ -673,36 +387,35 @@ fn decode_exppoly(v: &Value, dec: &ScopeDecoder<'_>) -> Option<ExpPoly> {
     Some(out)
 }
 
-fn encode_term(t: &Term, enc: &mut ScopeEncoder<'_>) -> Value {
+fn encode_term(t: &Term, enc: &mut ScopeEncoder<'_>) -> Json {
     match t {
-        Term::Const(c) => Value::Arr(vec![Value::Str("c".into()), encode_rational(c)]),
-        Term::Var(s) => Value::Arr(vec![Value::Str("v".into()), encode_symbol(s, enc)]),
+        Term::Const(c) => Json::Array(vec![Json::Str("c".into()), encode_rational(c)]),
+        Term::Var(s) => Json::Array(vec![Json::Str("v".into()), encode_symbol(s, enc)]),
         Term::Add(ts) => encode_term_list("+", ts, enc),
         Term::Mul(ts) => encode_term_list("*", ts, enc),
-        Term::Pow(b, e) => Value::Arr(vec![
-            Value::Str("^".into()),
+        Term::Pow(b, e) => Json::Array(vec![
+            Json::Str("^".into()),
             encode_term(b, enc),
             encode_term(e, enc),
         ]),
-        Term::Log2(x) => Value::Arr(vec![Value::Str("log2".into()), encode_term(x, enc)]),
+        Term::Log2(x) => Json::Array(vec![Json::Str("log2".into()), encode_term(x, enc)]),
         Term::Max(ts) => encode_term_list("max", ts, enc),
         Term::Min(ts) => encode_term_list("min", ts, enc),
     }
 }
 
-fn encode_term_list(tag: &str, ts: &[Term], enc: &mut ScopeEncoder<'_>) -> Value {
-    let mut items = vec![Value::Str(tag.into())];
+fn encode_term_list(tag: &str, ts: &[Term], enc: &mut ScopeEncoder<'_>) -> Json {
+    let mut items = vec![Json::Str(tag.into())];
     items.extend(ts.iter().map(|t| encode_term(t, enc)));
-    Value::Arr(items)
+    Json::Array(items)
 }
 
-fn decode_term(v: &Value, dec: &ScopeDecoder<'_>) -> Option<Term> {
-    let items = v.as_arr()?;
+fn decode_term(v: &Json, dec: &ScopeDecoder<'_>) -> Option<Term> {
+    let items = v.as_array()?;
     let (tag, rest) = items.split_first()?;
     let tag = tag.as_str()?;
-    let list = |rest: &[Value]| -> Option<Vec<Term>> {
-        rest.iter().map(|t| decode_term(t, dec)).collect()
-    };
+    let list =
+        |rest: &[Json]| -> Option<Vec<Term>> { rest.iter().map(|t| decode_term(t, dec)).collect() };
     match (tag, rest) {
         ("c", [c]) => Some(Term::Const(decode_rational(c)?)),
         ("v", [s]) => Some(Term::Var(decode_symbol(s, dec)?)),
@@ -723,17 +436,17 @@ fn decode_term(v: &Value, dec: &ScopeDecoder<'_>) -> Option<Term> {
 // Logic codecs.
 // ---------------------------------------------------------------------------
 
-fn encode_atom(a: &Atom, enc: &mut ScopeEncoder<'_>) -> Value {
+fn encode_atom(a: &Atom, enc: &mut ScopeEncoder<'_>) -> Json {
     let kind = match a.kind {
         AtomKind::Le => 0,
         AtomKind::Lt => 1,
         AtomKind::Eq => 2,
     };
-    Value::Arr(vec![Value::Int(kind), encode_polynomial(&a.poly, enc)])
+    Json::Array(vec![Json::Int(kind), encode_polynomial(&a.poly, enc)])
 }
 
-fn decode_atom(v: &Value, dec: &ScopeDecoder<'_>) -> Option<Atom> {
-    let [kind, poly] = v.as_arr()? else {
+fn decode_atom(v: &Json, dec: &ScopeDecoder<'_>) -> Option<Atom> {
+    let [kind, poly] = v.as_array()? else {
         return None;
     };
     let poly = decode_polynomial(poly, dec)?;
@@ -745,38 +458,37 @@ fn decode_atom(v: &Value, dec: &ScopeDecoder<'_>) -> Option<Atom> {
     })
 }
 
-fn encode_polyhedron(p: &Polyhedron, enc: &mut ScopeEncoder<'_>) -> Value {
-    Value::Arr(p.atoms().iter().map(|a| encode_atom(a, enc)).collect())
+fn encode_polyhedron(p: &Polyhedron, enc: &mut ScopeEncoder<'_>) -> Json {
+    Json::Array(p.atoms().iter().map(|a| encode_atom(a, enc)).collect())
 }
 
-fn decode_polyhedron(v: &Value, dec: &ScopeDecoder<'_>) -> Option<Polyhedron> {
-    let atoms: Option<Vec<Atom>> = v.as_arr()?.iter().map(|a| decode_atom(a, dec)).collect();
+fn decode_polyhedron(v: &Json, dec: &ScopeDecoder<'_>) -> Option<Polyhedron> {
+    let atoms: Option<Vec<Atom>> = v.as_array()?.iter().map(|a| decode_atom(a, dec)).collect();
     Some(Polyhedron::from_parts(atoms?))
 }
 
-fn encode_formula(f: &TransitionFormula, enc: &mut ScopeEncoder<'_>) -> Value {
-    Value::obj(vec![
-        ("cap", Value::Int(f.cap() as i64)),
-        (
+fn encode_formula(f: &TransitionFormula, enc: &mut ScopeEncoder<'_>) -> Json {
+    Json::object()
+        .field("cap", Json::Int(f.cap() as i64))
+        .field(
             "disjuncts",
-            Value::Arr(
+            Json::Array(
                 f.disjuncts()
                     .iter()
                     .map(|d| encode_polyhedron(d, enc))
                     .collect(),
             ),
-        ),
-    ])
+        )
 }
 
-fn decode_formula(v: &Value, dec: &ScopeDecoder<'_>) -> Option<TransitionFormula> {
-    let cap = v.field("cap")?.as_int()?;
+fn decode_formula(v: &Json, dec: &ScopeDecoder<'_>) -> Option<TransitionFormula> {
+    let cap = v.get("cap")?.as_int()?;
     if !(1..=1_000_000).contains(&cap) {
         return None;
     }
     let disjuncts: Option<Vec<Polyhedron>> = v
-        .field("disjuncts")?
-        .as_arr()?
+        .get("disjuncts")?
+        .as_array()?
         .iter()
         .map(|d| decode_polyhedron(d, dec))
         .collect();
@@ -787,16 +499,16 @@ fn decode_formula(v: &Value, dec: &ScopeDecoder<'_>) -> Option<TransitionFormula
 // Summary codecs.
 // ---------------------------------------------------------------------------
 
-fn encode_depth(d: &DepthBound, enc: &mut ScopeEncoder<'_>) -> Value {
+fn encode_depth(d: &DepthBound, enc: &mut ScopeEncoder<'_>) -> Json {
     let (tag, t) = match d {
         DepthBound::Linear(t) => ("lin", t),
         DepthBound::Logarithmic(t) => ("log", t),
     };
-    Value::Arr(vec![Value::Str(tag.into()), encode_term(t, enc)])
+    Json::Array(vec![Json::Str(tag.into()), encode_term(t, enc)])
 }
 
-fn decode_depth(v: &Value, dec: &ScopeDecoder<'_>) -> Option<DepthBound> {
-    let [tag, t] = v.as_arr()? else {
+fn decode_depth(v: &Json, dec: &ScopeDecoder<'_>) -> Option<DepthBound> {
+    let [tag, t] = v.as_array()? else {
         return None;
     };
     let t = decode_term(t, dec)?;
@@ -807,73 +519,71 @@ fn decode_depth(v: &Value, dec: &ScopeDecoder<'_>) -> Option<DepthBound> {
     }
 }
 
-fn encode_bound_fact(f: &BoundFact, enc: &mut ScopeEncoder<'_>) -> Value {
-    Value::obj(vec![
-        ("term", encode_polynomial(&f.term, enc)),
-        ("closed_form", encode_exppoly(&f.closed_form, enc)),
-        (
+fn encode_bound_fact(f: &BoundFact, enc: &mut ScopeEncoder<'_>) -> Json {
+    Json::object()
+        .field("term", encode_polynomial(&f.term, enc))
+        .field("closed_form", encode_exppoly(&f.closed_form, enc))
+        .field(
             "bound",
             match &f.bound {
                 Some(b) => encode_term(b, enc),
-                None => Value::Null,
+                None => Json::Null,
             },
-        ),
-        ("exact", Value::Bool(f.exact)),
-    ])
+        )
+        .field("exact", Json::Bool(f.exact))
 }
 
-fn decode_bound_fact(v: &Value, dec: &ScopeDecoder<'_>) -> Option<BoundFact> {
+fn decode_bound_fact(v: &Json, dec: &ScopeDecoder<'_>) -> Option<BoundFact> {
     Some(BoundFact {
-        term: decode_polynomial(v.field("term")?, dec)?,
-        closed_form: decode_exppoly(v.field("closed_form")?, dec)?,
-        bound: match v.field("bound")? {
-            Value::Null => None,
+        term: decode_polynomial(v.get("term")?, dec)?,
+        closed_form: decode_exppoly(v.get("closed_form")?, dec)?,
+        bound: match v.get("bound")? {
+            Json::Null => None,
             b => Some(decode_term(b, dec)?),
         },
-        exact: v.field("exact")?.as_bool()?,
+        exact: v.get("exact")?.as_bool()?,
     })
 }
 
-fn encode_summary(s: &ProcedureSummary, enc: &mut ScopeEncoder<'_>) -> Value {
-    Value::obj(vec![
-        ("name", Value::Str(s.name.clone())),
-        ("recursive", Value::Bool(s.recursive)),
-        ("formula", encode_formula(&s.formula, enc)),
-        (
+fn encode_summary(s: &ProcedureSummary, enc: &mut ScopeEncoder<'_>) -> Json {
+    Json::object()
+        .field("name", Json::str(&s.name))
+        .field("recursive", Json::Bool(s.recursive))
+        .field("formula", encode_formula(&s.formula, enc))
+        .field(
             "bound_facts",
-            Value::Arr(
+            Json::Array(
                 s.bound_facts
                     .iter()
                     .map(|f| encode_bound_fact(f, enc))
                     .collect(),
             ),
-        ),
-        (
+        )
+        .field(
             "depth",
             match &s.depth {
                 Some(d) => encode_depth(d, enc),
-                None => Value::Null,
+                None => Json::Null,
             },
-        ),
-    ])
+        )
 }
 
-fn decode_summary(v: &Value, dec: &ScopeDecoder<'_>) -> Option<ProcedureSummary> {
+fn decode_summary(v: &Json, dec: &ScopeDecoder<'_>) -> Option<ProcedureSummary> {
     let bound_facts: Option<Vec<BoundFact>> = v
-        .field("bound_facts")?
-        .as_arr()?
+        .get("bound_facts")?
+        .as_array()?
         .iter()
         .map(|f| decode_bound_fact(f, dec))
         .collect();
     Some(ProcedureSummary {
-        name: v.field("name")?.as_str()?.to_string(),
-        formula: decode_formula(v.field("formula")?, dec)?,
+        name: v.get("name")?.as_str()?.to_string(),
+        formula: decode_formula(v.get("formula")?, dec)?,
         bound_facts: bound_facts?,
-        depth: match v.field("depth")? {
-            Value::Null => None,
+        depth: match v.get("depth")? {
+            Json::Null => None,
             d => Some(decode_depth(d, dec)?),
         },
-        recursive: v.field("recursive")?.as_bool()?,
+        recursive: v.get("recursive")?.as_bool()?,
     })
 }
 
@@ -896,24 +606,23 @@ pub fn encode_entry(
     scopes: &dyn ScopeResolver,
 ) -> Option<String> {
     let mut enc = ScopeEncoder::new(scopes);
-    let encoded: Vec<Value> = summaries
+    let encoded: Vec<Json> = summaries
         .iter()
         .map(|s| encode_summary(s, &mut enc))
         .collect();
     if enc.failed {
         return None;
     }
-    let doc = Value::obj(vec![
-        ("format", Value::Str(CACHE_FORMAT.into())),
-        ("version", Value::Int(CACHE_VERSION)),
-        ("key", Value::Str(key.to_hex())),
-        (
+    let doc = Json::object()
+        .field("format", Json::str(CACHE_FORMAT))
+        .field("version", Json::Int(CACHE_VERSION))
+        .field("key", Json::str(key.to_hex()))
+        .field(
             "scopes",
-            Value::Arr(enc.table.iter().map(|k| Value::Str(k.to_hex())).collect()),
-        ),
-        ("summaries", Value::Arr(encoded)),
-    ]);
-    Some(doc.to_json())
+            Json::Array(enc.table.iter().map(|k| Json::str(k.to_hex())).collect()),
+        )
+        .field("summaries", Json::Array(encoded));
+    Some(doc.compact())
 }
 
 /// Decodes a cache entry, verifying the format tag, version, and key, and
@@ -927,19 +636,19 @@ pub fn decode_entry(
     expected_key: &Fingerprint,
     scopes: &dyn ScopeResolver,
 ) -> Option<Vec<ProcedureSummary>> {
-    let doc = Parser::parse(text)?;
-    if doc.field("format")?.as_str()? != CACHE_FORMAT {
+    let doc = Json::parse(text).ok()?;
+    if doc.get("format")?.as_str()? != CACHE_FORMAT {
         return None;
     }
-    if doc.field("version")?.as_int()? != CACHE_VERSION {
+    if doc.get("version")?.as_int()? != CACHE_VERSION {
         return None;
     }
-    if Fingerprint::from_hex(doc.field("key")?.as_str()?)? != *expected_key {
+    if Fingerprint::from_hex(doc.get("key")?.as_str()?)? != *expected_key {
         return None;
     }
     let table: Option<Vec<Fingerprint>> = doc
-        .field("scopes")?
-        .as_arr()?
+        .get("scopes")?
+        .as_array()?
         .iter()
         .map(|v| Fingerprint::from_hex(v.as_str()?))
         .collect();
@@ -947,8 +656,8 @@ pub fn decode_entry(
         resolver: scopes,
         table: table?,
     };
-    doc.field("summaries")?
-        .as_arr()?
+    doc.get("summaries")?
+        .as_array()?
         .iter()
         .map(|s| decode_summary(s, &dec))
         .collect()
@@ -961,15 +670,15 @@ pub fn decode_entry(
 /// full decoding needs the *consumer's* scope assignment, which only the
 /// analyzing peer has.
 pub fn entry_key(text: &str) -> Option<Fingerprint> {
-    let doc = Parser::parse(text)?;
-    if doc.field("format")?.as_str()? != CACHE_FORMAT {
+    let doc = Json::parse(text).ok()?;
+    if doc.get("format")?.as_str()? != CACHE_FORMAT {
         return None;
     }
-    if doc.field("version")?.as_int()? != CACHE_VERSION {
+    if doc.get("version")?.as_int()? != CACHE_VERSION {
         return None;
     }
-    doc.field("summaries")?.as_arr()?;
-    Fingerprint::from_hex(doc.field("key")?.as_str()?)
+    doc.get("summaries")?.as_array()?;
+    Fingerprint::from_hex(doc.get("key")?.as_str()?)
 }
 
 #[cfg(test)]
@@ -1068,6 +777,26 @@ mod tests {
             encode_entry(&key, &decoded, &same_scopes()).expect("re-encodes"),
             encoded
         );
+    }
+
+    #[test]
+    fn v2_entry_bytes_are_pinned() {
+        // Disk caches and the peers of a mixed-version fleet exchange these
+        // bytes: changing them needs a `CACHE_VERSION` bump.
+        let key = Fingerprint(0x1234_5678_9abc_def0_1111_2222_3333_4444);
+        let encoded = encode_entry(&key, &[sample_summary()], &same_scopes()).expect("encodes");
+        let pinned = concat!(
+            r#"{"format":"chora-summary-cache","version":2,"key":"123456789abcdef01111222233334444","#,
+            r#""scopes":["000000000000000000000000feed0006"],"summaries":[{"name":"p","recursive":true,"#,
+            r#""formula":{"cap":9,"disjuncts":[[[0,[["-1",[["n:cost",1]]],["-1",[["n:n",1]]],"#,
+            r#"["1",[["p:cost",1]]]]],[2,[["1",[["n:x",2]]],["-1",[["n:y",1]]]]],"#,
+            r#"[0,[["-7",[]],["-3",[["f:0:0",1]]]]]],[[1,[["1",[["n:n",1]]]]]]]},"#,
+            r#""bound_facts":[{"term":[["-1",[["n:cost",1]]],["1",[["p:cost",1]]]],"#,
+            r#""closed_form":{"param":"h","terms":[["1",[["-1",[]]]],["2",[["1",[]]]]]},"#,
+            r#""bound":["+",["^",["c","2"],["v","n:n"]],["log2",["max",["v","n:n"],["c","1"]]],"#,
+            r#"["min",["v","n:n"],["c","5"]]],"exact":true}],"depth":["log",["v","n:n"]]}]}"#,
+        );
+        assert_eq!(encoded, pinned);
     }
 
     #[test]
@@ -1208,6 +937,9 @@ mod tests {
         // A scopes table with a malformed key.
         let bad_table = good.replacen("\"scopes\":[\"", "\"scopes\":[\"zz", 1);
         assert!(decode_entry(&bad_table, &key, &scopes).is_none());
+        // Nesting far past the parser's depth bound: an error, not a stack
+        // overflow.
+        assert!(decode_entry(&"[".repeat(200_000), &key, &scopes).is_none());
     }
 
     #[test]
@@ -1228,7 +960,7 @@ mod tests {
         ];
         let scopes = same_scopes();
         let mut enc = ScopeEncoder::new(&scopes);
-        let encoded: Vec<Value> = syms.iter().map(|s| encode_symbol(s, &mut enc)).collect();
+        let encoded: Vec<Json> = syms.iter().map(|s| encode_symbol(s, &mut enc)).collect();
         assert!(!enc.failed);
         let dec = ScopeDecoder {
             resolver: &scopes,
@@ -1256,13 +988,13 @@ mod tests {
             "f:1",
         ] {
             assert!(
-                decode_symbol(&Value::Str(text.into()), &dec).is_none(),
+                decode_symbol(&Json::Str(text.into()), &dec).is_none(),
                 "{text} must be rejected"
             );
         }
         // In range: canonical index 0 resolves through the table.
         assert_eq!(
-            decode_symbol(&Value::Str("f:0:3".into()), &dec),
+            decode_symbol(&Json::Str("f:0:3".into()), &dec),
             Some(Symbol::fresh_at(0, 3))
         );
     }

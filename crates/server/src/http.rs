@@ -443,23 +443,7 @@ pub fn reason(status: u16) -> &'static str {
 }
 
 /// Renders a JSON string literal (quotes and control characters escaped).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+pub use chora_telemetry::json::quote as json_string;
 
 /// Percent-encodes one query component (RFC 3986 unreserved set passes).
 pub fn encode_query_component(s: &str) -> String {

@@ -1,4 +1,5 @@
-//! Process-wide telemetry for the CHORA workspace: one crate, two surfaces.
+//! Process-wide telemetry for the CHORA workspace, and its JSON codec: one
+//! crate, three surfaces.
 //!
 //! * [`metrics`] — a global [`metrics::MetricsRegistry`] of counters, gauges,
 //!   and log-scale-bucketed histograms, rendered in Prometheus text
@@ -14,6 +15,11 @@
 //!   every span carries the task id plus queue-wait time of the scheduler
 //!   task it ran under, so queue-wait vs. run time per SCC task is visible
 //!   per worker.
+//! * [`json`] — the workspace's one JSON value, parser and string escaper:
+//!   `--json` reports (which the daemon's analysis endpoints return),
+//!   `/v1/batch` bodies and summary-cache entries are built, rendered and
+//!   parsed with it, and the hand-laid-out documents (Chrome trace,
+//!   `/v1/stats`) escape their strings with it.
 //!
 //! The crate is std-only and depends on nothing in the workspace, so every
 //! layer (numeric, logic, recurrence, core, server, cli) can use it without

@@ -19,6 +19,7 @@
 //! is already active); callers that multiplex traced work (the server's
 //! `?trace=1` path) serialize around that.
 
+use crate::json::escape_into;
 use std::borrow::Cow;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -244,20 +245,6 @@ pub struct Trace {
     pub lanes: Vec<String>,
 }
 
-fn escape_json(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
 impl Trace {
     /// The distinct lane names that actually carry events.
     pub fn active_lanes(&self) -> Vec<&str> {
@@ -287,7 +274,7 @@ impl Trace {
             out.push_str(&format!(
                 "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{lane},\"args\":{{\"name\":\""
             ));
-            escape_json(
+            escape_into(
                 &mut out,
                 self.lanes.get(lane as usize).map_or("?", String::as_str),
             );
@@ -299,9 +286,9 @@ impl Trace {
             }
             first = false;
             out.push_str("{\"name\":\"");
-            escape_json(&mut out, &event.name);
+            escape_into(&mut out, &event.name);
             out.push_str("\",\"cat\":\"");
-            escape_json(&mut out, event.cat);
+            escape_into(&mut out, event.cat);
             out.push_str(&format!(
                 "\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"dur\":{:.3}",
                 event.lane,
