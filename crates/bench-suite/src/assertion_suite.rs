@@ -2,6 +2,7 @@
 //! (`quad`, `pow2_overflow`, `height`) and a selection of SV-COMP
 //! `recursive`-style benchmarks used for Figure 3.
 
+use chora_core::AnalysisResult;
 use chora_ir::{Cond, Expr, Procedure, Program, Stmt};
 
 /// One assertion-checking benchmark plus the verdicts reported in the paper.
@@ -23,6 +24,14 @@ pub struct AssertionBenchmark {
     pub paper_viap: bool,
     /// Which experiment the benchmark belongs to (`"table2"` or `"fig3"`).
     pub suite: &'static str,
+}
+
+impl AssertionBenchmark {
+    /// Whether an analysis of this benchmark's program proves it: the
+    /// program has at least one assertion and every one is verified.
+    pub fn proved_in(&self, result: &AnalysisResult) -> bool {
+        !result.assertions.is_empty() && result.all_assertions_verified()
+    }
 }
 
 fn v(name: &str) -> Expr {

@@ -8,6 +8,8 @@
 //! abstracted, but the recursion/loop structure and the cost accounting are
 //! faithful.
 
+use chora_core::{complexity, AnalysisResult, ComplexityClass};
+use chora_expr::{Symbol, Term};
 use chora_ir::{Cond, Expr, Procedure, Program, Stmt};
 
 /// One row of Table 1.
@@ -31,6 +33,22 @@ pub struct ComplexityBenchmark {
     pub paper_icra: &'static str,
     /// The bound reported for the best other tool (column 5).
     pub paper_other: &'static str,
+}
+
+impl ComplexityBenchmark {
+    /// This benchmark's Table 1 row in an analysis of its program: the cost
+    /// bound of [`Self::procedure`] and its asymptotic class, or no bound
+    /// when the analysis has no summary for the procedure.
+    pub fn table1_row(&self, result: &AnalysisResult) -> (Option<Term>, ComplexityClass) {
+        match result.summary(self.procedure) {
+            Some(summary) => complexity::table1_row(
+                summary,
+                &Symbol::new(self.cost_var),
+                &Symbol::new(self.size_param),
+            ),
+            None => (None, ComplexityClass::NoBound),
+        }
+    }
 }
 
 fn v(name: &str) -> Expr {

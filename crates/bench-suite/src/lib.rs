@@ -3,6 +3,9 @@
 //! Every benchmark program from the CHORA evaluation (§5), expressed in the
 //! `chora-ir` language, together with the results the paper reports for each
 //! tool — the raw material for regenerating Table 1, Table 2, and Figure 3.
+//! [`ComplexityBenchmark::table1_row`] and [`AssertionBenchmark::proved_in`]
+//! read a benchmark's verdict off an analysis of its program; `chora bench`
+//! renders the tables from them.
 //!
 //! * [`complexity_suite`] — the twelve complexity-analysis benchmarks of
 //!   Table 1 (fibonacci ... ackermann), each instrumented with a cost

@@ -4,24 +4,12 @@
 //! representative subset of Table 1.
 
 use chora_bench_suite::complexity_suite;
-use chora_core::{complexity, AnalysisConfig, Analyzer};
-use chora_expr::Symbol;
+use chora_core::{AnalysisConfig, Analyzer};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn class_with(config: AnalysisConfig, bench: &chora_bench_suite::ComplexityBenchmark) -> String {
     let result = Analyzer::with_config(config).analyze(&bench.program);
-    result
-        .summary(bench.procedure)
-        .map(|s| {
-            complexity::table1_row(
-                s,
-                &Symbol::new(bench.cost_var),
-                &Symbol::new(bench.size_param),
-            )
-            .1
-            .to_string()
-        })
-        .unwrap_or_else(|| "n.b.".to_string())
+    bench.table1_row(&result).1.to_string()
 }
 
 fn ablations(c: &mut Criterion) {

@@ -660,6 +660,35 @@ impl Default for BenchOptions {
     }
 }
 
+impl BenchOptions {
+    /// Whether `--filter` keeps the benchmark or program called `name`.
+    fn keeps(&self, name: &str) -> bool {
+        self.filter.as_deref().is_none_or(|f| name.contains(f))
+    }
+
+    /// The `.imp` programs directly under `dir` that `--filter` keeps, as
+    /// `(name, path)` sorted by path; the name is the file stem.
+    pub(crate) fn programs_in(&self, dir: &str) -> Result<Vec<(String, String)>, CliError> {
+        let mut paths: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
+            .map_err(|e| CliError(format!("cannot read directory `{dir}`: {e}")))?
+            .filter_map(|entry| entry.ok().map(|e| e.path()))
+            .filter(|p| p.extension().is_some_and(|ext| ext == "imp"))
+            .collect();
+        paths.sort();
+        Ok(paths
+            .into_iter()
+            .filter_map(|path| {
+                let display = path.display().to_string();
+                let name = path
+                    .file_stem()
+                    .map(|s| s.to_string_lossy().into_owned())
+                    .unwrap_or_else(|| display.clone());
+                self.keeps(&name).then_some((name, display))
+            })
+            .collect())
+    }
+}
+
 /// One timed program row of `chora bench [DIR]`.
 struct ProgramRow {
     name: String,
@@ -674,7 +703,9 @@ struct ProgramRow {
 }
 
 /// `chora bench`: reruns the paper's built-in benchmark suites (Table 1
-/// complexity rows and the assertion benchmarks) with wall-clock timings.
+/// complexity rows and the Table 2 / Fig. 3 assertion benchmarks) with
+/// CHORA-rs, the ICRA-style baseline and the paper's verdicts side by
+/// side, and CHORA-rs wall-clock timings.
 pub fn bench(opts: &BenchOptions) -> Result<(String, i32), CliError> {
     if opts.server {
         return crate::serve::bench_server(opts);
@@ -687,38 +718,10 @@ pub fn bench(opts: &BenchOptions) -> Result<(String, i32), CliError> {
 
 /// The library-call (non `--server`) body of [`bench`].
 fn bench_local(opts: &BenchOptions) -> Result<(String, i32), CliError> {
-    let keep = |name: &str| match &opts.filter {
-        Some(f) => name.contains(f.as_str()),
-        None => true,
-    };
-
-    let mut rows = Vec::new();
-    for b in chora_bench_suite::complexity_suite::all() {
-        if !keep(b.name) {
-            continue;
-        }
-        let started = Instant::now();
-        let (_bound, class) = chora_bench::table1_row_for(&b);
-        let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-        rows.push((b.name, b.actual, class, b.paper_chora, elapsed_ms));
-    }
-
-    let mut assertion_rows = Vec::new();
-    for b in chora_bench_suite::assertion_suite::all() {
-        if !keep(b.name) {
-            continue;
-        }
-        let started = Instant::now();
-        let result = analyzer_with_jobs(opts.jobs).analyze(&b.program);
-        let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-        assertion_rows.push((
-            b.name,
-            result.all_assertions_verified(),
-            b.paper_chora,
-            elapsed_ms,
-            result.timings,
-        ));
-    }
+    let analyzer = analyzer_with_jobs(opts.jobs);
+    let keep = |name: &str| opts.keeps(name);
+    let rows = chora_bench::complexity_rows(&analyzer, keep);
+    let assertion_rows = chora_bench::assertion_rows(&analyzer, keep);
 
     // Optional directory of .imp programs: parse + analyze each, with
     // per-phase wall-clock timings — the on-disk counterpart of the
@@ -727,25 +730,10 @@ fn bench_local(opts: &BenchOptions) -> Result<(String, i32), CliError> {
     let store = open_store(&opts.cache_dir, opts.no_cache, &opts.remote_cache)?;
     let mut program_rows: Vec<ProgramRow> = Vec::new();
     if let Some(dir) = &opts.programs_dir {
-        let mut paths: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
-            .map_err(|e| CliError(format!("cannot read directory `{dir}`: {e}")))?
-            .filter_map(|entry| entry.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|ext| ext == "imp"))
-            .collect();
-        paths.sort();
-        for path in paths {
-            let display = path.display().to_string();
-            let name = path
-                .file_stem()
-                .map(|s| s.to_string_lossy().into_owned())
-                .unwrap_or_else(|| display.clone());
-            if !keep(&name) {
-                continue;
-            }
+        for (name, path) in opts.programs_in(dir)? {
             let parse_started = Instant::now();
-            let program = read_and_parse(&display)?;
+            let program = read_and_parse(&path)?;
             let parse_ms = parse_started.elapsed().as_secs_f64() * 1e3;
-            let analyzer = analyzer_with_jobs(opts.jobs);
             let started = Instant::now();
             let result = run_analysis(&analyzer, &program, store.as_ref().map(CliStore::as_dyn));
             let analysis_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -783,24 +771,34 @@ fn bench_local(opts: &BenchOptions) -> Result<(String, i32), CliError> {
     if opts.json {
         let complexity_json: Vec<Json> = rows
             .iter()
-            .map(|(name, actual, class, paper, ms)| {
+            .map(|row| {
+                let b = &row.bench;
                 Json::object()
-                    .field("name", Json::str(*name))
-                    .field("actual", Json::str(*actual))
-                    .field("class", Json::str(class.clone()))
-                    .field("paper_chora", Json::str(*paper))
-                    .field("analysis_ms", Json::Float(*ms))
+                    .field("name", Json::str(b.name))
+                    .field("actual", Json::str(b.actual))
+                    .field("class", Json::str(row.chora.to_string()))
+                    .field("icra_class", Json::str(row.icra.to_string()))
+                    .field("paper_chora", Json::str(b.paper_chora))
+                    .field("paper_icra", Json::str(b.paper_icra))
+                    .field("analysis_ms", Json::Float(row.analysis_ms))
             })
             .collect();
         let assertion_json: Vec<Json> = assertion_rows
             .iter()
-            .map(|(name, verified, paper, ms, timings)| {
+            .map(|row| {
+                let b = &row.bench;
                 Json::object()
-                    .field("name", Json::str(*name))
-                    .field("verified", Json::Bool(*verified))
-                    .field("paper_chora", Json::Bool(*paper))
-                    .field("analysis_ms", Json::Float(*ms))
-                    .field("phases", phases_json(None, timings))
+                    .field("name", Json::str(b.name))
+                    .field("suite", Json::str(b.suite))
+                    .field("verified", Json::Bool(row.chora))
+                    .field("icra_verified", Json::Bool(row.icra))
+                    .field("paper_chora", Json::Bool(b.paper_chora))
+                    .field("paper_icra", Json::Bool(b.paper_icra))
+                    .field("paper_ua", Json::Bool(b.paper_ua))
+                    .field("paper_utaipan", Json::Bool(b.paper_utaipan))
+                    .field("paper_viap", Json::Bool(b.paper_viap))
+                    .field("analysis_ms", Json::Float(row.analysis_ms))
+                    .field("phases", phases_json(None, &row.phases))
             })
             .collect();
         let program_json: Vec<Json> = program_rows
@@ -837,12 +835,20 @@ fn bench_local(opts: &BenchOptions) -> Result<(String, i32), CliError> {
     let mut out = String::new();
     if !rows.is_empty() {
         out.push_str(&format!(
-            "{:<14} {:<14} {:<16} {:<14} {:>10}\n",
-            "benchmark", "actual", "CHORA-rs", "paper CHORA", "time"
+            "{:<14} {:<14} {:<14} {:<14} {:<14} {:<12} {:>10}\n",
+            "benchmark", "actual", "CHORA-rs", "ICRA-rs", "paper CHORA", "paper ICRA", "time"
         ));
-        for (name, actual, class, paper, ms) in &rows {
+        for row in &rows {
+            let b = &row.bench;
             out.push_str(&format!(
-                "{name:<14} {actual:<14} {class:<16} {paper:<14} {ms:>8.1}ms\n"
+                "{:<14} {:<14} {:<14} {:<14} {:<14} {:<12} {:>8.1}ms\n",
+                b.name,
+                b.actual,
+                row.chora.to_string(),
+                row.icra.to_string(),
+                b.paper_chora,
+                b.paper_icra,
+                row.analysis_ms
             ));
         }
     }
@@ -851,15 +857,61 @@ fn bench_local(opts: &BenchOptions) -> Result<(String, i32), CliError> {
             out.push('\n');
         }
         out.push_str(&format!(
-            "{:<18} {:<10} {:<12} {:>10}  {}\n",
-            "assertion bench", "CHORA-rs", "paper CHORA", "time", "phases (summ/solve/check)"
+            "{:<18} {:<7} {:<9} {:<9} {:<12} {:<11} {:<7} {:<8} {:<7} {:>10}  {}\n",
+            "assertion bench",
+            "suite",
+            "CHORA-rs",
+            "ICRA-rs",
+            "paper CHORA",
+            "paper ICRA",
+            "UA",
+            "UTaipan",
+            "VIAP",
+            "time",
+            "phases (summ/solve/check)"
         ));
-        for (name, verified, paper, ms, t) in &assertion_rows {
-            let v = if *verified { "proved" } else { "n.p." };
-            let p = if *paper { "proved" } else { "n.p." };
+        let mark = |proved: bool| if proved { "proved" } else { "n.p." };
+        for row in &assertion_rows {
+            let (b, t) = (&row.bench, &row.phases);
             out.push_str(&format!(
-                "{name:<18} {v:<10} {p:<12} {ms:>8.1}ms  {:.1}/{:.1}/{:.1}ms\n",
-                t.summarize_ms, t.solve_ms, t.check_ms
+                "{:<18} {:<7} {:<9} {:<9} {:<12} {:<11} {:<7} {:<8} {:<7} {:>8.1}ms  {:.1}/{:.1}/{:.1}ms\n",
+                b.name,
+                b.suite,
+                mark(row.chora),
+                mark(row.icra),
+                mark(b.paper_chora),
+                mark(b.paper_icra),
+                mark(b.paper_ua),
+                mark(b.paper_utaipan),
+                mark(b.paper_viap),
+                row.analysis_ms,
+                t.summarize_ms,
+                t.solve_ms,
+                t.check_ms
+            ));
+        }
+        out.push('\n');
+        let mut suites: Vec<&str> = assertion_rows.iter().map(|r| r.bench.suite).collect();
+        suites.dedup();
+        for suite in suites {
+            let in_suite: Vec<&chora_bench::AssertionRow> = assertion_rows
+                .iter()
+                .filter(|r| r.bench.suite == suite)
+                .collect();
+            let count = |proved: fn(&chora_bench::AssertionRow) -> bool| {
+                in_suite.iter().filter(|r| proved(r)).count()
+            };
+            out.push_str(&format!(
+                "{suite}: CHORA-rs proves {} of {}, ICRA-rs {}; paper: CHORA {}, ICRA {}, \
+                 UA {}, UTaipan {}, VIAP {}\n",
+                count(|r| r.chora),
+                in_suite.len(),
+                count(|r| r.icra),
+                count(|r| r.bench.paper_chora),
+                count(|r| r.bench.paper_icra),
+                count(|r| r.bench.paper_ua),
+                count(|r| r.bench.paper_utaipan),
+                count(|r| r.bench.paper_viap)
             ));
         }
     }

@@ -24,7 +24,8 @@
 //!   assertion verdicts,
 //! * `complexity FILE` — the Table 1 view: a closed-form cost bound and its
 //!   asymptotic class,
-//! * `bench` — rerun the built-in paper benchmark suites with timings
+//! * `bench` — rerun the paper's Tables 1–2 and Fig. 3 (CHORA-rs and the
+//!   ICRA-style baseline next to the paper's verdicts) with timings
 //!   (`--server` replays programs through a live daemon instead),
 //! * `print FILE` — parse and pretty-print (the round-trip surface),
 //! * `serve` — a long-running analysis daemon over keep-alive HTTP with a

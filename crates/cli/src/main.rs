@@ -16,8 +16,10 @@ SUBCOMMANDS:
     analyze FILE      Analyze a .imp program: procedure summaries, bound
                       facts, depth bounds, and assertion verdicts
     complexity FILE   Extract a closed-form cost bound and asymptotic class
-    bench [DIR]       Rerun the built-in paper benchmark suites (and time
-                      every .imp program under DIR, when given)
+    bench [DIR]       Rerun the paper's Tables 1-2 and Fig. 3: CHORA-rs and
+                      the ICRA-style baseline next to the paper's verdicts,
+                      with timings (and time every .imp program under DIR,
+                      when given)
     print FILE        Parse a .imp program and pretty-print it back
     serve             Long-running analysis daemon: POST .imp sources to
                       /v1/analyze and /v1/complexity over keep-alive HTTP

@@ -959,23 +959,13 @@ impl AnalysisBackend for AnalysisService {
     }
 }
 
-fn effective_workers(jobs: usize) -> usize {
-    if jobs == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        jobs
-    }
-}
-
 /// `chora serve`: blocks until SIGINT/SIGTERM or `POST /v1/shutdown`,
 /// then drains in-flight requests and returns.
 pub fn serve(opts: &ServeOptions) -> Result<(String, i32), CliError> {
     let service = Arc::new(AnalysisService::new(opts)?);
     let config = ServerConfig {
         addr: opts.addr.clone(),
-        workers: effective_workers(opts.jobs),
+        workers: analyzer_with_jobs(opts.jobs).effective_jobs(),
         quiet: opts.quiet,
         handle_signals: true,
         log_format: opts.log_format,
@@ -993,7 +983,7 @@ pub fn spawn_server(opts: &ServeOptions) -> Result<(ServerHandle, Arc<AnalysisSe
     let service = Arc::new(AnalysisService::new(opts)?);
     let config = ServerConfig {
         addr: opts.addr.clone(),
-        workers: effective_workers(opts.jobs),
+        workers: analyzer_with_jobs(opts.jobs).effective_jobs(),
         quiet: opts.quiet,
         handle_signals: false,
         log_format: opts.log_format,
@@ -1151,27 +1141,10 @@ pub fn bench_server(opts: &BenchOptions) -> Result<(String, i32), CliError> {
     let dir = opts.programs_dir.as_ref().ok_or_else(|| {
         CliError("`chora bench --server` needs a DIR of .imp programs".to_string())
     })?;
-    let keep = |name: &str| match &opts.filter {
-        Some(f) => name.contains(f.as_str()),
-        None => true,
-    };
-    let mut paths: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
-        .map_err(|e| CliError(format!("cannot read directory `{dir}`: {e}")))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|ext| ext == "imp"))
-        .collect();
-    paths.sort();
     let mut programs: Vec<(String, String, String)> = Vec::new(); // (name, file, source)
-    for path in paths {
-        let display = path.display().to_string();
-        let name = path
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| display.clone());
-        if !keep(&name) {
-            continue;
-        }
-        programs.push((name, display.clone(), read_source(&display)?));
+    for (name, path) in opts.programs_in(dir)? {
+        let source = read_source(&path)?;
+        programs.push((name, path, source));
     }
     if programs.is_empty() {
         return Err(CliError(format!("no .imp programs under `{dir}` match")));
@@ -1185,7 +1158,7 @@ pub fn bench_server(opts: &BenchOptions) -> Result<(String, i32), CliError> {
         quiet: true,
         ..ServeOptions::default()
     };
-    let workers = effective_workers(serve_opts.jobs);
+    let workers = analyzer_with_jobs(serve_opts.jobs).effective_jobs();
     let (handle, service) = spawn_server(&serve_opts)?;
     // One connection for the whole bench: every request after the first
     // rides the established keep-alive connection.

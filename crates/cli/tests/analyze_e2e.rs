@@ -1,5 +1,6 @@
 //! End-to-end CLI tests: file in, analysis verdict out.
 
+use chora_cli::json::Json;
 use chora_cli::{analyze, bench, complexity_cmd, print_cmd, BenchOptions, FileOptions};
 use std::path::PathBuf;
 
@@ -83,6 +84,68 @@ fn bench_filter_runs_single_benchmark() {
     assert!(output.contains("\"class\": \"O(2^n)\""), "got:\n{output}");
     // The filter is case-sensitive: the recHanoi assertion benchmarks stay out.
     assert!(!output.contains("recHanoi01"), "got:\n{output}");
+}
+
+#[test]
+fn bench_json_pins_the_paper_tables() {
+    fn text<'a>(row: &'a Json, key: &str) -> &'a str {
+        row.get(key).and_then(Json::as_str).unwrap_or("-")
+    }
+    let run = |jobs: usize| {
+        let (output, exit) = bench(&BenchOptions {
+            json: true,
+            jobs,
+            ..BenchOptions::default()
+        })
+        .expect("bench runs");
+        assert_eq!(exit, 0);
+        output
+    };
+    let output = run(1);
+    let doc = Json::parse(&output).expect("bench --json parses");
+    let rows = |key: &str| {
+        doc.get(key)
+            .and_then(Json::as_array)
+            .unwrap_or_else(|| panic!("no `{key}` rows in:\n{output}"))
+    };
+    let flag = |row: &Json, key: &str| row.get(key).and_then(Json::as_bool);
+
+    let complexity = rows("complexity");
+    assert_eq!(complexity.len(), 12);
+    let matches = complexity
+        .iter()
+        .filter(|r| text(r, "class") == text(r, "paper_chora"))
+        .count();
+    assert_eq!(matches, 10, "Table 1 rows agreeing with the paper");
+    assert!(complexity.iter().all(|r| text(r, "icra_class") == "n.b."));
+
+    let assertions = rows("assertions");
+    assert_eq!(assertions.len(), 15);
+    let in_suite = |suite: &str| {
+        assertions
+            .iter()
+            .filter(|r| text(r, "suite") == suite)
+            .count()
+    };
+    assert_eq!((in_suite("table2"), in_suite("fig3")), (3, 12));
+    let proved: Vec<&str> = assertions
+        .iter()
+        .filter(|r| flag(r, "verified") == Some(true))
+        .map(|r| text(r, "name"))
+        .collect();
+    assert_eq!(proved, ["height", "Addition02", "recHanoi02"]);
+    assert!(assertions
+        .iter()
+        .all(|r| flag(r, "icra_verified") == Some(false)));
+
+    // The worker count moves wall clocks only.
+    let strip = |out: &str| {
+        out.lines()
+            .filter(|l| !l.contains("_ms"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    assert_eq!(strip(&output), strip(&run(2)));
 }
 
 #[test]

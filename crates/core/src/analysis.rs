@@ -42,8 +42,6 @@ pub struct AnalysisConfig {
     /// Whether polynomial closed forms are pushed back into the polyhedral
     /// summary formula (improves assertion checking).
     pub enable_polynomial_facts: bool,
-    /// Disjunct cap for transition formulas.
-    pub disjunct_cap: usize,
     /// Number of worker threads pulling analysis tasks (component
     /// summarizations and per-procedure assertion passes) off the shared
     /// ready queue; a task is enqueued as soon as the components it calls
@@ -58,7 +56,6 @@ impl Default for AnalysisConfig {
         AnalysisConfig {
             enable_depth_bounds: true,
             enable_polynomial_facts: true,
-            disjunct_cap: chora_logic::DEFAULT_DISJUNCT_CAP,
             jobs: 1,
         }
     }
@@ -488,14 +485,15 @@ impl Analyzer {
     /// (v3 canonicalizes constraint rows inside the projection engine,
     /// changing summary bytes; v2 dropped the bottom-up scope from
     /// component keys), the analysis knobs (except `jobs`, which never
-    /// changes the result), and the global-variable vocabulary in
-    /// declaration order (it fixes the summarizer's variable order).
+    /// changes the result), the transition formulas' disjunct cap, and the
+    /// global-variable vocabulary in declaration order (it fixes the
+    /// summarizer's variable order).
     fn cache_salt(&self, program: &Program) -> Fingerprint {
         let mut b = FingerprintBuilder::new();
         b.write_str("chora-analysis-salt-v3");
         b.write_bool(self.config.enable_depth_bounds);
         b.write_bool(self.config.enable_polynomial_facts);
-        b.write_u64(self.config.disjunct_cap as u64);
+        b.write_u64(chora_logic::DEFAULT_DISJUNCT_CAP as u64);
         b.write_u64(program.globals.len() as u64);
         for g in &program.globals {
             b.write_str(&g.to_string());

@@ -113,9 +113,9 @@ pub trait AnalysisBackend: Send + Sync + 'static {
 
     /// Name/value pairs rendered under `"fm"` in `/v1/stats` — the
     /// Fourier–Motzkin projection counters (rows generated / deduped /
-    /// dominated, Imbert skips, early-unsat exits, widest system).  The
-    /// default is empty for backends whose logic crate was built without
-    /// the `stats` feature.
+    /// dominated, Imbert skips, early-unsat exits, widest system, emptiness
+    /// checks and how they were answered, overflow restarts).  The default
+    /// is empty, for backends that run no projections.
     fn fm_counters(&self) -> Vec<(&'static str, u64)> {
         Vec::new()
     }

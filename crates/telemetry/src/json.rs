@@ -375,29 +375,18 @@ fn hex4(bytes: &[u8], at: usize) -> Result<u32, String> {
 
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
+    while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = bytes.get(*pos) {
         *pos += 1;
     }
-    let mut float = false;
-    while let Some(&b) = bytes.get(*pos) {
-        match b {
-            b'0'..=b'9' => *pos += 1,
-            b'.' | b'e' | b'E' | b'+' | b'-' => {
-                float = true;
-                *pos += 1;
-            }
-            _ => break,
-        }
-    }
     let text = std::str::from_utf8(&bytes[start..*pos]).expect("ASCII number");
-    if float {
-        text.parse::<f64>()
+    // An integer literal beyond `i64` is how an integral `Float` of that
+    // magnitude is written, so it reads back as one.
+    match text.parse::<i64>() {
+        Ok(v) => Ok(Json::Int(v)),
+        Err(_) => text
+            .parse::<f64>()
             .map(Json::Float)
-            .map_err(|_| format!("invalid number `{text}` at byte {start}"))
-    } else {
-        text.parse::<i64>()
-            .map(Json::Int)
-            .map_err(|_| format!("invalid number `{text}` at byte {start}"))
+            .map_err(|_| format!("invalid number `{text}` at byte {start}")),
     }
 }
 
@@ -450,6 +439,16 @@ mod tests {
     }
 
     #[test]
+    fn integral_floats_beyond_i64_parse_back_as_floats() {
+        for v in [1e20, -1e300, 9.3e18] {
+            let doc = Json::Float(v);
+            for text in [doc.compact(), doc.pretty()] {
+                assert_eq!(Json::parse(&text), Ok(Json::Float(v)), "{text}");
+            }
+        }
+    }
+
+    #[test]
     fn rejects_malformed_documents() {
         for bad in [
             "",
@@ -485,10 +484,10 @@ mod tests {
     }
 
     /// Builds a document from a word stream, at most 8 levels deep.  Strings
-    /// mix every escape arm with multi-byte characters.  Floats are odd
-    /// sixteenths: a float is written in its shortest form without an
-    /// exponent, so an integral one reads back as an `Int`, and one beyond
-    /// `i64` does not read back at all.
+    /// mix every escape arm with multi-byte characters.  A float is written
+    /// in its shortest form without an exponent, so an integral one within
+    /// `i64` reads back as an `Int`: floats are odd sixteenths, or integral
+    /// with a magnitude past 2^63, which read back as floats.
     fn build(words: &mut impl Iterator<Item = u64>, depth: usize) -> Json {
         let w = words.next().unwrap_or(0);
         let len = (w >> 8) % 4;
@@ -497,7 +496,19 @@ mod tests {
             0 => Json::Null,
             1 => Json::Bool(w & 0x100 != 0),
             2 => Json::Int(words.next().unwrap_or(w) as i64),
-            3 => Json::Float(f64::from((w >> 8) as i32 | 1) / 16.0),
+            3 if w & 0x100 != 0 => Json::Float(f64::from((w >> 9) as i32 | 1) / 16.0),
+            3 => {
+                // Past 2^63 every float is integral; the `| 1` keeps -2^63,
+                // which is an `i64`, out.
+                let step =
+                    f64::from((w >> 10) as u16 | 1) * 2f64.powi(11 + ((w >> 26) % 900) as i32);
+                let magnitude = 2f64.powi(63) + step;
+                Json::Float(if w & 0x200 != 0 {
+                    -magnitude
+                } else {
+                    magnitude
+                })
+            }
             4 => Json::Str(text(words, (w >> 8) % 8)),
             5 => Json::Array((0..len).map(|_| build(words, depth + 1)).collect()),
             _ => Json::Object(

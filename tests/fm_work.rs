@@ -1,7 +1,7 @@
 //! The Fourier–Motzkin work of one pass over the paper's evaluation, pinned.
 //!
 //! One jobs-1 analysis of each of the twelve Table 1 programs (plus its
-//! `complexity::table1_row`) and each of the fifteen Table 2 / Fig. 3
+//! `table1_row`) and each of the fifteen Table 2 / Fig. 3
 //! assertion programs, in suite order, must produce exactly these
 //! `chora_logic::stats` counters.  They count rows the elimination engine
 //! generates and prunes and the emptiness questions it answers, so a change
@@ -15,8 +15,7 @@
 //! other test can run in parallel and move them.
 
 use chora::bench_suite::{assertion_suite, complexity_suite};
-use chora::core::{complexity, AnalysisConfig, Analyzer};
-use chora::expr::Symbol;
+use chora::core::{AnalysisConfig, Analyzer};
 use chora::logic::stats::{self, FmStats};
 
 #[test]
@@ -27,14 +26,7 @@ fn fm_work_of_one_suite_pass_is_pinned() {
     });
     stats::reset();
     for bench in complexity_suite::all() {
-        let result = analyzer.analyze(&bench.program);
-        if let Some(summary) = result.summary(bench.procedure) {
-            complexity::table1_row(
-                summary,
-                &Symbol::new(bench.cost_var),
-                &Symbol::new(bench.size_param),
-            );
-        }
+        bench.table1_row(&analyzer.analyze(&bench.program));
     }
     for bench in assertion_suite::all() {
         analyzer.analyze(&bench.program);

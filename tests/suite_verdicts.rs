@@ -9,8 +9,7 @@
 //! regression — must show up here as a diff and be made deliberately.
 
 use chora::bench_suite::{assertion_suite, complexity_suite};
-use chora::core::{complexity, Analyzer};
-use chora::expr::Symbol;
+use chora::core::Analyzer;
 
 /// `(benchmark, class)` in suite order.
 const TABLE1: [(&str, &str); 12] = [
@@ -54,16 +53,7 @@ fn table1_classes_are_pinned() {
     let mut paper_matches = 0;
     for bench in complexity_suite::all() {
         let result = Analyzer::new().analyze(&bench.program);
-        let class = match result.summary(bench.procedure) {
-            Some(summary) => complexity::table1_row(
-                summary,
-                &Symbol::new(bench.cost_var),
-                &Symbol::new(bench.size_param),
-            )
-            .1
-            .to_string(),
-            None => "n.b.".to_string(),
-        };
+        let class = bench.table1_row(&result).1.to_string();
         paper_matches += usize::from(class == bench.paper_chora);
         got.push((bench.name.to_string(), class));
     }

@@ -15,16 +15,7 @@ use chora::ir::Interpreter;
 
 fn chora_class(bench: &chora::bench_suite::ComplexityBenchmark) -> String {
     let result = Analyzer::new().analyze(&bench.program);
-    match result.summary(bench.procedure) {
-        None => "n.b.".to_string(),
-        Some(summary) => complexity::table1_row(
-            summary,
-            &Symbol::new(bench.cost_var),
-            &Symbol::new(bench.size_param),
-        )
-        .1
-        .to_string(),
-    }
+    bench.table1_row(&result).1.to_string()
 }
 
 #[test]
@@ -69,17 +60,9 @@ fn baseline_finds_no_bounds_on_nonlinear_recursion() {
     let mut chora_bounds = 0;
     for bench in complexity_suite::all() {
         let baseline = BaselineAnalyzer::new().analyze(&bench.program);
-        if let Some(summary) = baseline.summary(bench.procedure) {
-            if complexity::cost_bound(summary, &Symbol::new(bench.cost_var)).is_some() {
-                baseline_bounds += 1;
-            }
-        }
+        baseline_bounds += usize::from(bench.table1_row(&baseline).0.is_some());
         let ours = Analyzer::new().analyze(&bench.program);
-        if let Some(summary) = ours.summary(bench.procedure) {
-            if complexity::cost_bound(summary, &Symbol::new(bench.cost_var)).is_some() {
-                chora_bounds += 1;
-            }
-        }
+        chora_bounds += usize::from(bench.table1_row(&ours).0.is_some());
     }
     assert_eq!(
         baseline_bounds, 0,
@@ -98,9 +81,8 @@ fn bounds_dominate_measured_cost() {
     for name in ["hanoi", "fibonacci", "ball_bins3", "subset_sum"] {
         let bench = complexity_suite::by_name(name).unwrap();
         let result = Analyzer::new().analyze(&bench.program);
-        let summary = result.summary(bench.procedure).unwrap();
-        let bound = complexity::cost_bound(summary, &Symbol::new(bench.cost_var))
-            .unwrap_or_else(|| panic!("no bound for {name}"));
+        let (bound, _) = bench.table1_row(&result);
+        let bound = bound.unwrap_or_else(|| panic!("no bound for {name}"));
         for n in 1..=8i64 {
             let mut interp = Interpreter::new(&bench.program).with_nondet_bool(|| true);
             let args: Vec<i128> = bench
@@ -133,8 +115,7 @@ fn bounds_dominate_measured_cost() {
 fn mergesort_bound_tracks_n_log_n_shape() {
     let bench = complexity_suite::mergesort();
     let result = Analyzer::new().analyze(&bench.program);
-    let summary = result.summary("mergesort").unwrap();
-    let bound = complexity::cost_bound(summary, &Symbol::new("cost")).unwrap();
+    let bound = bench.table1_row(&result).0.expect("mergesort has a bound");
     // The bound at 2n should be a little more than twice the bound at n
     // (n log n shape), but far less than four times (not quadratic).
     let b1 = complexity::eval_bound_at(&bound, &Symbol::new("n"), 1 << 14).unwrap();
