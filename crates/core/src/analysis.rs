@@ -21,11 +21,11 @@ use crate::depth::{depth_bound, polynomial_to_term, DepthBound};
 use crate::height::{analyze_scc, HeightAnalysis};
 use crate::lower::lower_cond_post;
 use crate::store::{CacheStats, SummaryStore};
-use crate::summarize::{return_variable, Summarizer};
+use crate::summarize::{return_variable, Summarizer, Visit};
 use chora_expr::{ExpPoly, FreshSource, Polynomial, Symbol, Term};
 use chora_ir::{
-    fingerprint::level_keys, CallGraph, Component, Fingerprint, FingerprintBuilder, Procedure,
-    Program, Stmt,
+    fingerprint::level_keys, CallGraph, Component, Cond, Fingerprint, FingerprintBuilder,
+    Procedure, Program,
 };
 use chora_logic::{Atom, EmptinessMemo, Polyhedron, TransitionFormula};
 use chora_telemetry::trace;
@@ -410,20 +410,8 @@ impl Analyzer {
                 let started = Instant::now();
                 let proc = &run.program.procedures[proc_index];
                 let fresh = FreshSource::new(run.assert_scope_base + proc_index as u32);
-                let vars = run.summarizer.proc_vars(proc);
-                let prefix = TransitionFormula::identity(&vars);
-                let mut asserts = Vec::new();
-                self.check_asserts_with(
-                    &run.summarizer,
-                    proc,
-                    &proc.body,
-                    &vars,
-                    prefix,
-                    &mut asserts,
-                    &fresh,
-                );
                 TaskOutput::Assert {
-                    asserts,
+                    asserts: check_asserts(&run.summarizer, proc, &fresh),
                     check_ms: started.elapsed().as_secs_f64() * 1e3,
                 }
             }
@@ -653,129 +641,51 @@ impl Analyzer {
             Polyhedron::from_atoms(shallow_atoms),
         ])
     }
+}
 
-    /// Walks a procedure body with the given summaries, checking every
-    /// assertion against the reaching transition formula.  Public so the
-    /// ICRA-style baseline can reuse the same verification pass.
-    #[allow(clippy::too_many_arguments)]
-    pub fn check_asserts_with(
-        &self,
-        summarizer: &Summarizer<'_>,
-        proc: &Procedure,
-        stmt: &Stmt,
-        vars: &[Symbol],
-        prefix: TransitionFormula,
-        out: &mut Vec<AssertionResult>,
-        fresh: &FreshSource,
-    ) -> TransitionFormula {
-        match stmt {
-            Stmt::Assert(cond, label) => {
-                let verified = self.prove(&prefix, cond, vars, fresh);
-                out.push(AssertionResult {
+/// Checks every assertion of `proc` against the formula reaching it, with
+/// the finished summaries of its callees in `summarizer`.
+pub(crate) fn check_asserts(
+    summarizer: &Summarizer<'_>,
+    proc: &Procedure,
+    fresh: &FreshSource,
+) -> Vec<AssertionResult> {
+    let vars = summarizer.proc_vars(proc);
+    let mut asserts = Vec::new();
+    let prefix = TransitionFormula::identity(&vars);
+    summarizer.walk(
+        &proc.body,
+        &vars,
+        &BTreeMap::new(),
+        prefix,
+        fresh,
+        &mut |visit, reaching| {
+            if let Visit::Assert(cond, label) = visit {
+                asserts.push(AssertionResult {
                     procedure: proc.name.clone(),
-                    label: label.clone(),
-                    verified,
+                    label: label.to_string(),
+                    verified: prove(reaching, cond, &vars, fresh),
                 });
-                prefix
             }
-            Stmt::Seq(stmts) => {
-                let mut current = prefix;
-                for s in stmts {
-                    current =
-                        self.check_asserts_with(summarizer, proc, s, vars, current, out, fresh);
-                }
-                current
-            }
-            Stmt::If(c, then_branch, else_branch) => {
-                let guard_t = summarizer.summarize_stmt(
-                    &Stmt::Assume(c.clone()),
-                    vars,
-                    &BTreeMap::new(),
-                    fresh,
-                );
-                let guard_f = summarizer.summarize_stmt(
-                    &Stmt::Assume(c.clone().negate()),
-                    vars,
-                    &BTreeMap::new(),
-                    fresh,
-                );
-                let after_then = self.check_asserts_with(
-                    summarizer,
-                    proc,
-                    then_branch,
-                    vars,
-                    prefix.sequence(&guard_t.fall_through, vars),
-                    out,
-                    fresh,
-                );
-                let after_else = self.check_asserts_with(
-                    summarizer,
-                    proc,
-                    else_branch,
-                    vars,
-                    prefix.sequence(&guard_f.fall_through, vars),
-                    out,
-                    fresh,
-                );
-                after_then.union(&after_else)
-            }
-            Stmt::While(c, body) => {
-                let body_summary = summarizer.summarize_stmt(body, vars, &BTreeMap::new(), fresh);
-                let guard_t = summarizer.summarize_stmt(
-                    &Stmt::Assume(c.clone()),
-                    vars,
-                    &BTreeMap::new(),
-                    fresh,
-                );
-                let guard_f = summarizer.summarize_stmt(
-                    &Stmt::Assume(c.clone().negate()),
-                    vars,
-                    &BTreeMap::new(),
-                    fresh,
-                );
-                let one_iter = guard_t
-                    .fall_through
-                    .sequence(&body_summary.fall_through, vars);
-                let iterations = summarizer.loop_summary(&one_iter, vars, fresh);
-                // Check assertions inside the body under the loop invariant
-                // approximation.
-                let in_loop = prefix
-                    .sequence(&iterations, vars)
-                    .sequence(&guard_t.fall_through, vars);
-                let _ = self.check_asserts_with(summarizer, proc, body, vars, in_loop, out, fresh);
-                prefix
-                    .sequence(&iterations, vars)
-                    .sequence(&guard_f.fall_through, vars)
-            }
-            Stmt::Return(_) => TransitionFormula::bottom(),
-            other => {
-                let summary = summarizer.summarize_stmt(other, vars, &BTreeMap::new(), fresh);
-                prefix.sequence(&summary.fall_through, vars)
-            }
-        }
-    }
+        },
+    );
+    asserts
+}
 
-    /// Proves `prefix ⊨ cond` where `cond` refers to the current (post)
-    /// values of the program variables.
-    ///
-    /// The atoms of each goal disjunct are checked with one batched
-    /// [`Polyhedron::implies_all`] entailment (a single shared
-    /// linearization/elimination pass) instead of one Fourier–Motzkin run
-    /// per atom.
-    fn prove(
-        &self,
-        prefix: &TransitionFormula,
-        cond: &chora_ir::Cond,
-        vars: &[Symbol],
-        fresh: &FreshSource,
-    ) -> bool {
-        let post_disjuncts = lower_cond_post(cond, vars, fresh);
-        prefix.disjuncts().iter().all(|reach| {
-            post_disjuncts
-                .iter()
-                .any(|goal| reach.implies_all(goal.atoms()))
-        })
-    }
+/// Proves `prefix ⊨ cond` where `cond` refers to the current (post) values
+/// of the program variables.
+///
+/// The atoms of each goal disjunct are checked with one batched
+/// [`Polyhedron::implies_all`] entailment (a single shared
+/// linearization/elimination pass) instead of one Fourier–Motzkin run per
+/// atom.
+fn prove(prefix: &TransitionFormula, cond: &Cond, vars: &[Symbol], fresh: &FreshSource) -> bool {
+    let post_disjuncts = lower_cond_post(cond, vars, fresh);
+    prefix.disjuncts().iter().all(|reach| {
+        post_disjuncts
+            .iter()
+            .any(|goal| reach.implies_all(goal.atoms()))
+    })
 }
 
 /// The per-program state of one batch member: its own schedule, cache
@@ -1102,7 +1012,7 @@ pub fn return_symbol() -> Symbol {
 mod tests {
     use super::*;
     use crate::store::testutil::memory_store;
-    use chora_ir::{Cond, Expr};
+    use chora_ir::{Expr, Stmt};
 
     /// hanoi-shaped recursive cost model plus a non-recursive helper chain.
     fn cached_program(leaf_increment: i64) -> Program {

@@ -10,7 +10,7 @@
 //! it unable to bound the cost of non-linearly recursive procedures
 //! (the "n.b." column of Table 1).
 
-use crate::analysis::{AnalysisResult, AssertionResult, ProcedureSummary};
+use crate::analysis::{AnalysisResult, ProcedureSummary};
 use crate::summarize::Summarizer;
 use chora_expr::FreshSource;
 use chora_ir::{CallGraph, Program};
@@ -120,24 +120,12 @@ impl BaselineAnalyzer {
         }
         // Assertion checking with the baseline summaries reuses the same
         // reaching-formula pass as the main analyzer.
-        let analyzer = crate::analysis::Analyzer::new();
-        let mut assertions: Vec<AssertionResult> = Vec::new();
         for proc in &program.procedures {
             let fresh = FreshSource::new(next_scope);
             next_scope += 1;
-            let vars = summarizer.proc_vars(proc);
-            let prefix = TransitionFormula::identity(&vars);
-            analyzer.check_asserts_with(
-                &summarizer,
-                proc,
-                &proc.body,
-                &vars,
-                prefix,
-                &mut assertions,
-                &fresh,
-            );
+            let asserts = crate::analysis::check_asserts(&summarizer, proc, &fresh);
+            result.assertions.extend(asserts);
         }
-        result.assertions = assertions;
         result
     }
 }

@@ -11,10 +11,10 @@
 //! evaluation: decrement-by-a-constant (linear depth) and
 //! division-by-a-constant (logarithmic depth).
 
-use crate::lower::{lower_cond, lower_cond_negated, lower_expr};
-use crate::summarize::Summarizer;
+use crate::lower::lower_expr;
+use crate::summarize::{Summarizer, Visit};
 use chora_expr::{FreshSource, Polynomial, Symbol, Term};
-use chora_ir::{Procedure, Stmt};
+use chora_ir::Procedure;
 use chora_logic::{Atom, Polyhedron, TransitionFormula};
 use chora_numeric::BigRational;
 use std::collections::{BTreeMap, BTreeSet};
@@ -132,31 +132,53 @@ pub fn depth_bound(
 /// The descent relation of a procedure: the union, over every reachable call
 /// to a member of the SCC, of the relation between the procedure's entry
 /// state (pre) and the callee's parameters at that call (post, under the
-/// callee's parameter names).  Recursive calls occurring *before* the chosen
-/// one are skipped (globals and their results havocked), mirroring the
-/// "skip" edges of Alg. 4.
+/// callee's parameter names).  The forward walk steps over recursive calls
+/// by havocking globals and their results, mirroring the "skip" edges of
+/// Alg. 4.
 pub fn descent_relation(
     summarizer: &Summarizer<'_>,
     proc: &Procedure,
     members: &[String],
     fresh: &FreshSource,
 ) -> TransitionFormula {
+    let program = summarizer.program();
     let vars = summarizer.proc_vars(proc);
-    // Override SCC calls with a skip summary (havoc globals and return).
-    let skip = TransitionFormula::top();
-    let skip_override: BTreeMap<String, TransitionFormula> =
-        members.iter().map(|m| (m.clone(), skip.clone())).collect();
+    let skip: BTreeMap<String, TransitionFormula> = members
+        .iter()
+        .map(|m| (m.clone(), TransitionFormula::top()))
+        .collect();
     let mut reached = TransitionFormula::bottom();
     let prefix = TransitionFormula::identity(&vars);
-    collect_descents(
-        summarizer,
+    summarizer.walk(
         &proc.body,
         &vars,
-        members,
-        &skip_override,
+        &skip,
         prefix,
-        &mut reached,
         fresh,
+        &mut |visit, prefix| {
+            let Visit::Call(callee, args) = visit else {
+                return;
+            };
+            let Some(callee_proc) = program
+                .procedure(callee)
+                .filter(|_| skip.contains_key(callee))
+            else {
+                return;
+            };
+            // Bind the callee's formals (as post-state) to the actuals, which
+            // are over the pre-state at the call site.
+            let mut atoms = Vec::new();
+            let mut to_drop: BTreeSet<Symbol> = BTreeSet::new();
+            for (formal, arg) in callee_proc.params.iter().zip(args) {
+                let lowered = lower_expr(arg, fresh);
+                atoms.push(Atom::eq(Polynomial::var(formal.primed()), lowered.value));
+                atoms.extend(lowered.constraints);
+                to_drop.extend(lowered.fresh);
+            }
+            let binding = TransitionFormula::from_polyhedron(Polyhedron::from_atoms(atoms))
+                .eliminate(&to_drop);
+            reached = reached.union(&prefix.sequence(&binding, &vars));
+        },
     );
     // Project onto the procedure parameters (pre) and the callee parameter
     // names (post).  For self/mutual recursion in the benchmark suite the
@@ -166,144 +188,11 @@ pub fn descent_relation(
         keep.insert(*p);
         keep.insert(p.primed());
     }
-    for g in &summarizer.program().globals {
+    for g in &program.globals {
         keep.insert(*g);
         keep.insert(g.primed());
     }
     reached.project_onto(&keep).simplify()
-}
-
-/// Walks the body, accumulating `prefix ; (arguments bound to callee formals)`
-/// for every call to an SCC member, and returns the prefix after the
-/// statement (with SCC calls skipped).
-#[allow(clippy::too_many_arguments)]
-fn collect_descents(
-    summarizer: &Summarizer<'_>,
-    stmt: &Stmt,
-    vars: &[Symbol],
-    members: &[String],
-    skip_override: &BTreeMap<String, TransitionFormula>,
-    prefix: TransitionFormula,
-    reached: &mut TransitionFormula,
-    fresh: &FreshSource,
-) -> TransitionFormula {
-    match stmt {
-        Stmt::Call { callee, args, .. } if members.contains(callee) => {
-            // Bind the callee's formals (as post-state) to the actuals.
-            if let Some(callee_proc) = summarizer.program().procedure(callee) {
-                let mut atoms = Vec::new();
-                let mut to_drop: BTreeSet<Symbol> = BTreeSet::new();
-                for (i, formal) in callee_proc.params.iter().enumerate() {
-                    if let Some(arg) = args.get(i) {
-                        let lowered = lower_expr(arg, fresh);
-                        atoms.push(Atom::eq(Polynomial::var(formal.primed()), lowered.value));
-                        atoms.extend(lowered.constraints);
-                        to_drop.extend(lowered.fresh);
-                    }
-                }
-                let binding = TransitionFormula::from_polyhedron(Polyhedron::from_atoms(atoms))
-                    .eliminate(&to_drop);
-                // `binding` constrains post-state formals in terms of the
-                // *pre-state at the call site*; compose the prefix with an
-                // identity-extended binding over the caller's vars.
-                let descent = prefix.sequence(&binding, vars);
-                *reached = reached.union(&descent);
-            }
-            // Continue past the call with skip semantics.
-            let skipped = summarizer.summarize_stmt(stmt, vars, skip_override, fresh);
-            prefix.sequence(&skipped.fall_through, vars)
-        }
-        Stmt::Seq(stmts) => {
-            let mut current = prefix;
-            for s in stmts {
-                current = collect_descents(
-                    summarizer,
-                    s,
-                    vars,
-                    members,
-                    skip_override,
-                    current,
-                    reached,
-                    fresh,
-                );
-            }
-            current
-        }
-        Stmt::If(c, then_branch, else_branch) => {
-            let guard_t = assume_all(summarizer, c, vars, false, fresh);
-            let guard_f = assume_all(summarizer, c, vars, true, fresh);
-            let after_then = collect_descents(
-                summarizer,
-                then_branch,
-                vars,
-                members,
-                skip_override,
-                prefix.sequence(&guard_t, vars),
-                reached,
-                fresh,
-            );
-            let after_else = collect_descents(
-                summarizer,
-                else_branch,
-                vars,
-                members,
-                skip_override,
-                prefix.sequence(&guard_f, vars),
-                reached,
-                fresh,
-            );
-            after_then.union(&after_else)
-        }
-        Stmt::While(c, body) => {
-            let guard_t = assume_all(summarizer, c, vars, false, fresh);
-            let guard_f = assume_all(summarizer, c, vars, true, fresh);
-            let body_skip = summarizer.summarize_stmt(body, vars, skip_override, fresh);
-            let one_iter = guard_t.sequence(&body_skip.fall_through, vars);
-            let iterations = summarizer.loop_summary(&one_iter, vars, fresh);
-            // Calls inside the body are reachable after any number of
-            // iterations plus the guard.
-            let in_loop_prefix = prefix.sequence(&iterations, vars).sequence(&guard_t, vars);
-            let _ = collect_descents(
-                summarizer,
-                body,
-                vars,
-                members,
-                skip_override,
-                in_loop_prefix,
-                reached,
-                fresh,
-            );
-            prefix.sequence(&iterations, vars).sequence(&guard_f, vars)
-        }
-        Stmt::Return(_) => {
-            let _ = summarizer;
-            TransitionFormula::bottom()
-        }
-        other => {
-            let summary = summarizer.summarize_stmt(other, vars, skip_override, fresh);
-            prefix.sequence(&summary.fall_through, vars)
-        }
-    }
-}
-
-fn assume_all(
-    summarizer: &Summarizer<'_>,
-    c: &chora_ir::Cond,
-    vars: &[Symbol],
-    negated: bool,
-    fresh: &FreshSource,
-) -> TransitionFormula {
-    let disjuncts = if negated {
-        lower_cond_negated(c, fresh)
-    } else {
-        lower_cond(c, fresh)
-    };
-    let mut out = TransitionFormula::bottom();
-    for conj in disjuncts {
-        out = out.union(&TransitionFormula::assume(conj, vars));
-    }
-    let _ = summarizer;
-    out
 }
 
 /// Converts a polynomial over program variables to a [`Term`].

@@ -8,10 +8,15 @@
 //! by the summary supplied for the callee (the *hypothetical summary*
 //! `φ_call` of Alg. 2 for calls within the strongly connected component
 //! under analysis, the already-computed summary otherwise).
+//!
+//! [`Summarizer::walk`] is the one forward pass over a body: it carries the
+//! formula reaching each statement and hands every `assert` and every call
+//! to a visitor, which is how assertions are checked and how the depth
+//! analysis collects its descents.
 
 use crate::lower::{lower_cond, lower_cond_negated, lower_expr};
 use chora_expr::{FreshSource, Polynomial, Symbol};
-use chora_ir::{Cond, Procedure, Program, Stmt};
+use chora_ir::{Cond, Expr, Procedure, Program, Stmt};
 use chora_logic::{Atom, Polyhedron, TransitionFormula};
 use chora_numeric::BigRational;
 use std::collections::{BTreeMap, BTreeSet};
@@ -25,6 +30,15 @@ pub struct StmtSummary {
     pub fall_through: TransitionFormula,
     /// Behaviours that execute `return` somewhere inside the statement.
     pub returned: TransitionFormula,
+}
+
+/// A statement at which [`Summarizer::walk`] calls its visitor.
+#[derive(Clone, Copy, Debug)]
+pub enum Visit<'s> {
+    /// `assert(cond)` with its label.
+    Assert(&'s Cond, &'s str),
+    /// A call, with the callee's name and the actual arguments.
+    Call(&'s str, &'s [Expr]),
 }
 
 /// The local variable used to carry a procedure's return value; its primed
@@ -263,6 +277,64 @@ impl<'a> Summarizer<'a> {
                     fall_through: tf,
                     returned: TransitionFormula::bottom(),
                 }
+            }
+        }
+    }
+
+    /// The forward walk over `stmt`: carries the formula reaching each
+    /// statement, starting from `prefix`, and passes every `assert` and
+    /// every call, with the formula reaching it, to `visit`.  Returns the
+    /// formula reaching the statement's sequential successor.
+    ///
+    /// Other statements are stepped over by their summaries under
+    /// `scc_override` (as in [`Summarizer::summarize_stmt`]); a loop body is
+    /// walked under the loop's closure followed by its guard, and `return`
+    /// ends the path.
+    pub fn walk(
+        &self,
+        stmt: &Stmt,
+        vars: &[Symbol],
+        scc_override: &BTreeMap<String, TransitionFormula>,
+        prefix: TransitionFormula,
+        fresh: &FreshSource,
+        visit: &mut dyn FnMut(Visit<'_>, &TransitionFormula),
+    ) -> TransitionFormula {
+        match stmt {
+            Stmt::Assert(cond, label) => {
+                visit(Visit::Assert(cond, label), &prefix);
+                prefix
+            }
+            Stmt::Seq(stmts) => stmts.iter().fold(prefix, |current, s| {
+                self.walk(s, vars, scc_override, current, fresh, visit)
+            }),
+            Stmt::If(c, then_branch, else_branch) => {
+                let guard_t = self.assume_formula(c, vars, fresh);
+                let guard_f = self.assume_negation(c, vars, fresh);
+                let then_prefix = prefix.sequence(&guard_t, vars);
+                let after_then =
+                    self.walk(then_branch, vars, scc_override, then_prefix, fresh, visit);
+                let else_prefix = prefix.sequence(&guard_f, vars);
+                let after_else =
+                    self.walk(else_branch, vars, scc_override, else_prefix, fresh, visit);
+                after_then.union(&after_else)
+            }
+            Stmt::While(c, body) => {
+                let body_sum = self.summarize_stmt(body, vars, scc_override, fresh);
+                let guard_t = self.assume_formula(c, vars, fresh);
+                let guard_f = self.assume_negation(c, vars, fresh);
+                let one_iteration = guard_t.sequence(&body_sum.fall_through, vars);
+                let iterations = self.loop_summary(&one_iteration, vars, fresh);
+                let in_loop = prefix.sequence(&iterations, vars).sequence(&guard_t, vars);
+                self.walk(body, vars, scc_override, in_loop, fresh, visit);
+                prefix.sequence(&iterations, vars).sequence(&guard_f, vars)
+            }
+            Stmt::Return(_) => TransitionFormula::bottom(),
+            other => {
+                if let Stmt::Call { callee, args, .. } = other {
+                    visit(Visit::Call(callee, args), &prefix);
+                }
+                let summary = self.summarize_stmt(other, vars, scc_override, fresh);
+                prefix.sequence(&summary.fall_through, vars)
             }
         }
     }
