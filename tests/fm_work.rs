@@ -40,9 +40,9 @@ fn fm_work_of_one_suite_pass_is_pinned() {
             imbert_skipped: 1_462,
             early_unsat_exits: 418,
             max_width: 500,
-            emptiness_checks: 8_404,
-            emptiness_memo_hits: 4_750,
-            emptiness_witnesses: 2_355,
+            emptiness_checks: 8_402,
+            emptiness_memo_hits: 4_749,
+            emptiness_witnesses: 2_354,
             overflow_restarts: 0,
         }
     );
