@@ -109,10 +109,11 @@ pub struct AssertionResult {
 /// happens in the front end, before the analyzer runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseTimings {
-    /// Intra-procedural summarization (formula construction, loop closure).
+    /// Intra-procedural summarization of the non-recursive components
+    /// (formula construction, loop closure).
     pub summarize_ms: f64,
-    /// Height-based recurrence extraction/solving plus depth-bound analysis
-    /// (recursive components only) — the phase a cache hit skips entirely.
+    /// The recursive components: height-based recurrence extraction and
+    /// solving, depth-bound analysis and the summaries built from them.
     pub solve_ms: f64,
     /// The assertion-checking pass.
     pub check_ms: f64,
@@ -241,6 +242,22 @@ impl Analyzer {
         &self,
         programs: &[&Program],
         store: Option<&dyn SummaryStore>,
+    ) -> Vec<AnalysisResult> {
+        self.drive(programs, store, &|summarizer, members, fresh| {
+            self.summarize_recursive(summarizer, members, fresh)
+        })
+    }
+
+    /// The ready-queue driver behind [`Analyzer::analyze_batch_with_store`],
+    /// with `recursive` as the step that summarizes each recursive
+    /// component.  Everything else (non-recursive components, cache
+    /// probes and writes, assertion passes, scope assignment and the fold)
+    /// is the same for every step.
+    pub(crate) fn drive(
+        &self,
+        programs: &[&Program],
+        store: Option<&dyn SummaryStore>,
+        recursive: &RecursiveStep<'_>,
     ) -> Vec<AnalysisResult> {
         // Store eviction counters run over the store's lifetime; report
         // only this batch's deltas (stores are reused across bench runs
@@ -393,7 +410,7 @@ impl Analyzer {
                         }
                     }
                     let scope = run.level_scope_base[level] + index as u32;
-                    self.summarize_component(run.program, &run.summarizer, component, scope)
+                    summarize_component(&run.summarizer, component, scope, recursive)
                 };
                 for summary in &output.summaries {
                     run.summarizer
@@ -489,68 +506,33 @@ impl Analyzer {
         b.finish()
     }
 
-    /// Summarizes one strongly connected component (the per-task body of the
-    /// level scheduler); returns the finished summaries in member order,
-    /// with the time spent split into the summarize and solve phases.
-    fn summarize_component(
+    /// CHORA's step for a recursive component: height-based recurrence
+    /// analysis of the whole component, then each member's depth bound and
+    /// summary (Eqn. (4)).
+    fn summarize_recursive(
         &self,
-        program: &Program,
         summarizer: &Summarizer<'_>,
-        component: &Component,
-        scope: u32,
-    ) -> ComponentOutput {
-        let _span = trace::span("phase", "summarize");
-        let started = Instant::now();
-        let fresh = FreshSource::new(scope);
-        let mut out = Vec::new();
-        if !component.recursive {
-            for name in &component.members {
-                let Some(proc) = program.procedure(name) else {
-                    continue;
-                };
-                let formula = summarizer.summarize_procedure(proc, &BTreeMap::new(), &fresh);
-                out.push(ProcedureSummary {
-                    name: name.clone(),
-                    formula,
-                    bound_facts: Vec::new(),
-                    depth: None,
-                    recursive: false,
-                });
-            }
-            return ComponentOutput {
-                summaries: out,
-                summarize_ms: started.elapsed().as_secs_f64() * 1e3,
-                solve_ms: 0.0,
-                cache_hit: false,
-            };
-        }
-        let solve_started = Instant::now();
+        members: &[String],
+        fresh: &FreshSource,
+    ) -> Vec<ProcedureSummary> {
         let height = {
             let _span = trace::span("phase", "height");
-            analyze_scc(summarizer, &component.members, &fresh)
+            analyze_scc(summarizer, members, fresh)
         };
-        let mut solve_ms = solve_started.elapsed().as_secs_f64() * 1e3;
-        for name in &component.members {
-            let Some(proc) = program.procedure(name) else {
-                continue;
-            };
-            let depth_started = Instant::now();
-            let depth = if self.config.enable_depth_bounds {
-                let _span = trace::span("phase", "depth");
-                depth_bound(summarizer, proc, &component.members, &fresh)
-            } else {
-                None
-            };
-            solve_ms += depth_started.elapsed().as_secs_f64() * 1e3;
-            out.push(self.assemble_recursive_summary(proc, &height, &depth));
-        }
-        let total_ms = started.elapsed().as_secs_f64() * 1e3;
-        ComponentOutput {
-            summaries: out,
-            summarize_ms: (total_ms - solve_ms).max(0.0),
-            solve_ms,
-            cache_hit: false,
-        }
+        let program = summarizer.program();
+        members
+            .iter()
+            .filter_map(|name| program.procedure(name))
+            .map(|proc| {
+                let depth = if self.config.enable_depth_bounds {
+                    let _span = trace::span("phase", "depth");
+                    depth_bound(summarizer, proc, members, fresh)
+                } else {
+                    None
+                };
+                self.assemble_recursive_summary(proc, &height, &depth)
+            })
+            .collect()
     }
 
     /// Builds the final summary of a recursive procedure from the solved
@@ -643,9 +625,58 @@ impl Analyzer {
     }
 }
 
+/// The step that summarizes one recursive component, given the summarizer
+/// holding its callees' summaries, the component's members and its
+/// fresh-symbol source: CHORA's height and depth analysis for [`Analyzer`],
+/// Kleene iteration for [`crate::BaselineAnalyzer`].
+pub(crate) type RecursiveStep<'s> =
+    dyn Fn(&Summarizer<'_>, &[String], &FreshSource) -> Vec<ProcedureSummary> + Sync + 's;
+
+/// Summarizes one strongly connected component (the body of a component
+/// task): each member of a non-recursive component directly, a recursive
+/// component by `recursive`, whose time counts as the solve phase.
+fn summarize_component(
+    summarizer: &Summarizer<'_>,
+    component: &Component,
+    scope: u32,
+    recursive: &RecursiveStep<'_>,
+) -> ComponentOutput {
+    let _span = trace::span("phase", "summarize");
+    let started = Instant::now();
+    let fresh = FreshSource::new(scope);
+    if component.recursive {
+        let summaries = recursive(summarizer, &component.members, &fresh);
+        return ComponentOutput {
+            summaries,
+            summarize_ms: 0.0,
+            solve_ms: started.elapsed().as_secs_f64() * 1e3,
+            cache_hit: false,
+        };
+    }
+    let program = summarizer.program();
+    let summaries = component
+        .members
+        .iter()
+        .filter_map(|name| program.procedure(name))
+        .map(|proc| ProcedureSummary {
+            name: proc.name.clone(),
+            formula: summarizer.summarize_procedure(proc, &BTreeMap::new(), &fresh),
+            bound_facts: Vec::new(),
+            depth: None,
+            recursive: false,
+        })
+        .collect();
+    ComponentOutput {
+        summaries,
+        summarize_ms: started.elapsed().as_secs_f64() * 1e3,
+        solve_ms: 0.0,
+        cache_hit: false,
+    }
+}
+
 /// Checks every assertion of `proc` against the formula reaching it, with
 /// the finished summaries of its callees in `summarizer`.
-pub(crate) fn check_asserts(
+fn check_asserts(
     summarizer: &Summarizer<'_>,
     proc: &Procedure,
     fresh: &FreshSource,

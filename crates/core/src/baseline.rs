@@ -2,132 +2,95 @@
 //!
 //! ICRA \[24\] lifts Compositional Recurrence Analysis to linearly recursive
 //! procedures but "resorts to Kleene iteration in the case of non-linear
-//! recursion" (§5).  This baseline reproduces that behaviour over the same
-//! substrate as the CHORA analyzer: non-recursive components are summarized
-//! exactly as CHORA does; recursive components are summarized by a bounded
-//! Kleene iteration of `Summary(P, φ)` starting from ⊥, falling back to a
-//! havoc summary when the iteration has not stabilized — which is what makes
-//! it unable to bound the cost of non-linearly recursive procedures
-//! (the "n.b." column of Table 1).
+//! recursion" (§5).  This baseline reproduces that behaviour on the CHORA
+//! analyzer's own driver: non-recursive components and assertions are
+//! handled exactly as CHORA handles them, and only the step for a recursive
+//! component differs.  It is a bounded Kleene iteration of `Summary(P, φ)`
+//! starting from ⊥, falling back to a havoc summary when the iteration has
+//! not stabilized — which is what makes it unable to bound the cost of
+//! non-linearly recursive procedures (the "n.b." column of Table 1).
 
-use crate::analysis::{AnalysisResult, ProcedureSummary};
+use crate::analysis::{AnalysisResult, Analyzer, ProcedureSummary};
 use crate::summarize::Summarizer;
 use chora_expr::FreshSource;
-use chora_ir::{CallGraph, Program};
+use chora_ir::Program;
 use chora_logic::TransitionFormula;
 use std::collections::BTreeMap;
 
-/// The ICRA-style baseline analyzer.
-#[derive(Clone, Debug)]
-pub struct BaselineAnalyzer {
-    /// Number of Kleene iterations attempted for recursive components before
-    /// widening to a havoc summary.
-    pub max_kleene_iterations: usize,
-}
+/// Number of Kleene iterations attempted for a recursive component before
+/// widening to a havoc summary.
+const MAX_KLEENE_ITERATIONS: usize = 3;
 
-impl Default for BaselineAnalyzer {
-    fn default() -> Self {
-        BaselineAnalyzer {
-            max_kleene_iterations: 3,
-        }
-    }
-}
+/// The ICRA-style baseline analyzer.
+#[derive(Clone, Debug, Default)]
+pub struct BaselineAnalyzer;
 
 impl BaselineAnalyzer {
-    /// Creates the baseline analyzer with the default iteration budget.
+    /// Creates the baseline analyzer.
     pub fn new() -> BaselineAnalyzer {
-        BaselineAnalyzer::default()
+        BaselineAnalyzer
     }
 
-    /// Analyses a program with the baseline strategy.
+    /// Analyses a program with the baseline strategy: the driver of the
+    /// default [`Analyzer`] (one worker, no summary store) with Kleene
+    /// iteration as its step for recursive components.
     pub fn analyze(&self, program: &Program) -> AnalysisResult {
-        let callgraph = CallGraph::build(program);
-        let summarizer = Summarizer::new(program);
-        let mut result = AnalysisResult::default();
-        let mut next_scope: u32 = 0;
-        for component in callgraph.components_bottom_up() {
-            let fresh = FreshSource::new(next_scope);
-            next_scope += 1;
-            if !component.recursive {
-                for name in &component.members {
-                    let Some(proc) = program.procedure(name) else {
-                        continue;
-                    };
-                    let formula = summarizer.summarize_procedure(proc, &BTreeMap::new(), &fresh);
-                    summarizer.insert_summary(name.clone(), formula.clone());
-                    result.summaries.insert(
-                        name.clone(),
-                        ProcedureSummary {
-                            name: name.clone(),
-                            formula,
-                            bound_facts: Vec::new(),
-                            depth: None,
-                            recursive: false,
-                        },
-                    );
-                }
-                continue;
-            }
-            // Kleene iteration from ⊥.
-            let mut current: BTreeMap<String, TransitionFormula> = component
-                .members
-                .iter()
-                .map(|m| (m.clone(), TransitionFormula::bottom()))
-                .collect();
-            let mut stabilized = false;
-            for _ in 0..self.max_kleene_iterations {
-                let mut next = BTreeMap::new();
-                for name in &component.members {
-                    let Some(proc) = program.procedure(name) else {
-                        continue;
-                    };
-                    next.insert(
-                        name.clone(),
-                        summarizer.summarize_procedure(proc, &current, &fresh),
-                    );
-                }
-                if component
-                    .members
-                    .iter()
-                    .all(|m| formulas_equivalent(&current[m], &next[m]))
-                {
-                    stabilized = true;
-                    current = next;
-                    break;
-                }
-                current = next;
-            }
-            for name in &component.members {
-                let formula = if stabilized {
-                    current[name].clone()
-                } else {
-                    // Widen: nothing is known about the effect of the
-                    // recursion (globals and the return value are havocked).
-                    TransitionFormula::top()
-                };
-                summarizer.insert_summary(name.clone(), formula.clone());
-                result.summaries.insert(
-                    name.clone(),
-                    ProcedureSummary {
-                        name: name.clone(),
-                        formula,
-                        bound_facts: Vec::new(),
-                        depth: None,
-                        recursive: true,
-                    },
-                );
-            }
-        }
-        // Assertion checking with the baseline summaries reuses the same
-        // reaching-formula pass as the main analyzer.
-        for proc in &program.procedures {
-            let fresh = FreshSource::new(next_scope);
-            next_scope += 1;
-            let asserts = crate::analysis::check_asserts(&summarizer, proc, &fresh);
-            result.assertions.extend(asserts);
-        }
-        result
+        Analyzer::new()
+            .drive(&[program], None, &kleene)
+            .pop()
+            .expect("a batch of one yields one result")
     }
+}
+
+/// Summarizes a recursive component by Kleene iteration from ⊥: each round
+/// summarizes every member with the previous round's summaries for the
+/// calls inside the component.
+fn kleene(
+    summarizer: &Summarizer<'_>,
+    members: &[String],
+    fresh: &FreshSource,
+) -> Vec<ProcedureSummary> {
+    let program = summarizer.program();
+    let mut current: BTreeMap<String, TransitionFormula> = members
+        .iter()
+        .map(|m| (m.clone(), TransitionFormula::bottom()))
+        .collect();
+    let mut stabilized = false;
+    for _ in 0..MAX_KLEENE_ITERATIONS {
+        let mut next = BTreeMap::new();
+        for name in members {
+            let Some(proc) = program.procedure(name) else {
+                continue;
+            };
+            next.insert(
+                name.clone(),
+                summarizer.summarize_procedure(proc, &current, fresh),
+            );
+        }
+        stabilized = members
+            .iter()
+            .all(|m| formulas_equivalent(&current[m], &next[m]));
+        current = next;
+        if stabilized {
+            break;
+        }
+    }
+    members
+        .iter()
+        .map(|name| ProcedureSummary {
+            name: name.clone(),
+            // Widen: nothing is known about the effect of the recursion
+            // (globals and the return value are havocked).
+            formula: if stabilized {
+                current[name].clone()
+            } else {
+                TransitionFormula::top()
+            },
+            bound_facts: Vec::new(),
+            depth: None,
+            recursive: true,
+        })
+        .collect()
 }
 
 /// A cheap structural equivalence check used as the Kleene-iteration
