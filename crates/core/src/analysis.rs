@@ -21,7 +21,7 @@ use crate::depth::{depth_bound, polynomial_to_term, DepthBound};
 use crate::height::{analyze_scc, HeightAnalysis};
 use crate::lower::lower_cond_post;
 use crate::store::{CacheStats, SummaryStore};
-use crate::summarize::{return_variable, Summarizer, Visit};
+use crate::summarize::{Summarizer, Visit};
 use chora_expr::{ExpPoly, FreshSource, Polynomial, Symbol, Term};
 use chora_ir::{
     fingerprint::level_keys, CallGraph, Component, Cond, Fingerprint, FingerprintBuilder,
@@ -1031,12 +1031,6 @@ impl MinEstimate for Term {
             self
         }
     }
-}
-
-/// Returns the symbol conventionally used for a procedure's return value in
-/// summaries (`ret`, whose primed version is `ret'`).
-pub fn return_symbol() -> Symbol {
-    return_variable()
 }
 
 #[cfg(test)]

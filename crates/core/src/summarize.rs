@@ -201,7 +201,7 @@ impl<'a> Summarizer<'a> {
                 returned: TransitionFormula::bottom(),
             },
             Stmt::Assume(c) => StmtSummary {
-                fall_through: self.assume_formula(c, vars, fresh),
+                fall_through: assume(lower_cond(c, fresh), vars),
                 returned: TransitionFormula::bottom(),
             },
             Stmt::Seq(stmts) => {
@@ -223,8 +223,7 @@ impl<'a> Summarizer<'a> {
             Stmt::If(c, then_branch, else_branch) => {
                 let then_sum = self.summarize_stmt(then_branch, vars, scc_override, fresh);
                 let else_sum = self.summarize_stmt(else_branch, vars, scc_override, fresh);
-                let guard_t = self.assume_formula(c, vars, fresh);
-                let guard_f = self.assume_negation(c, vars, fresh);
+                let (guard_t, guard_f) = guards(c, vars, fresh);
                 StmtSummary {
                     fall_through: guard_t
                         .sequence(&then_sum.fall_through, vars)
@@ -236,8 +235,7 @@ impl<'a> Summarizer<'a> {
             }
             Stmt::While(c, body) => {
                 let body_sum = self.summarize_stmt(body, vars, scc_override, fresh);
-                let guard_t = self.assume_formula(c, vars, fresh);
-                let guard_f = self.assume_negation(c, vars, fresh);
+                let (guard_t, guard_f) = guards(c, vars, fresh);
                 let one_iteration = guard_t.sequence(&body_sum.fall_through, vars);
                 let iterations = self.loop_summary(&one_iteration, vars, fresh);
                 StmtSummary {
@@ -308,8 +306,7 @@ impl<'a> Summarizer<'a> {
                 self.walk(s, vars, scc_override, current, fresh, visit)
             }),
             Stmt::If(c, then_branch, else_branch) => {
-                let guard_t = self.assume_formula(c, vars, fresh);
-                let guard_f = self.assume_negation(c, vars, fresh);
+                let (guard_t, guard_f) = guards(c, vars, fresh);
                 let then_prefix = prefix.sequence(&guard_t, vars);
                 let after_then =
                     self.walk(then_branch, vars, scc_override, then_prefix, fresh, visit);
@@ -320,8 +317,7 @@ impl<'a> Summarizer<'a> {
             }
             Stmt::While(c, body) => {
                 let body_sum = self.summarize_stmt(body, vars, scc_override, fresh);
-                let guard_t = self.assume_formula(c, vars, fresh);
-                let guard_f = self.assume_negation(c, vars, fresh);
+                let (guard_t, guard_f) = guards(c, vars, fresh);
                 let one_iteration = guard_t.sequence(&body_sum.fall_through, vars);
                 let iterations = self.loop_summary(&one_iteration, vars, fresh);
                 let in_loop = prefix.sequence(&iterations, vars).sequence(&guard_t, vars);
@@ -343,22 +339,6 @@ impl<'a> Summarizer<'a> {
     /// externals): globals and the return value are havocked.
     fn unknown_call_summary(&self) -> TransitionFormula {
         TransitionFormula::top()
-    }
-
-    fn assume_formula(&self, c: &Cond, vars: &[Symbol], fresh: &FreshSource) -> TransitionFormula {
-        let mut out = TransitionFormula::bottom();
-        for conj in lower_cond(c, fresh) {
-            out = out.union(&TransitionFormula::assume(conj, vars));
-        }
-        out
-    }
-
-    fn assume_negation(&self, c: &Cond, vars: &[Symbol], fresh: &FreshSource) -> TransitionFormula {
-        let mut out = TransitionFormula::bottom();
-        for conj in lower_cond_negated(c, fresh) {
-            out = out.union(&TransitionFormula::assume(conj, vars));
-        }
-        out
     }
 
     /// Binds a callee summary at a call site.
@@ -595,6 +575,28 @@ impl<'a> Summarizer<'a> {
         }
         None
     }
+}
+
+/// `assume` of a lowered condition: the union of one assumption per
+/// disjunct.
+fn assume(disjuncts: Vec<Vec<Atom>>, vars: &[Symbol]) -> TransitionFormula {
+    disjuncts
+        .into_iter()
+        .fold(TransitionFormula::bottom(), |out, conj| {
+            out.union(&TransitionFormula::assume(conj, vars))
+        })
+}
+
+/// The guards of a branch or loop on `c`: `assume(c)` and `assume(¬c)`.
+fn guards(
+    c: &Cond,
+    vars: &[Symbol],
+    fresh: &FreshSource,
+) -> (TransitionFormula, TransitionFormula) {
+    (
+        assume(lower_cond(c, fresh), vars),
+        assume(lower_cond_negated(c, fresh), vars),
+    )
 }
 
 /// If `bound − base` is a polynomial over invariant symbols only (and does
