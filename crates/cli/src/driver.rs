@@ -707,11 +707,12 @@ struct ProgramRow {
 /// CHORA-rs, the ICRA-style baseline and the paper's verdicts side by
 /// side, and CHORA-rs wall-clock timings.
 pub fn bench(opts: &BenchOptions) -> Result<(String, i32), CliError> {
-    if opts.server {
-        return crate::serve::bench_server(opts);
-    }
     let session = start_trace(&opts.trace_out)?;
-    let result = bench_local(opts);
+    let result = if opts.server {
+        crate::serve::bench_server(opts)
+    } else {
+        bench_local(opts)
+    };
     write_trace(session, &opts.trace_out, false)?;
     result
 }

@@ -201,7 +201,8 @@ fn trace_out_records_every_phase_without_perturbing_output() {
     // process-global, so splitting it across parallel #[test]s would race):
     // the Chrome trace has at least one span per analysis phase and at least
     // one scheduler lane, and stdout stays byte-identical with tracing on
-    // and off for both a serial and a parallel run.
+    // and off for both a serial and a parallel run; `bench --server` writes
+    // its trace too.
     let dir = std::env::temp_dir().join("chora-trace-e2e-test");
     std::fs::create_dir_all(&dir).expect("temp dir");
     for jobs in [1usize, 8] {
@@ -245,6 +246,27 @@ fn trace_out_records_every_phase_without_perturbing_output() {
         assert!(
             trace.contains("\"thread_name\""),
             "jobs={jobs}: expected at least one lane metadata event"
+        );
+    }
+    // `bench --server` analyzes in an in-process daemon; the session opens
+    // before the hand-off, so the daemon's analysis spans land in the file.
+    let trace_path = dir.join("bench-server.trace.json");
+    let _ = std::fs::remove_file(&trace_path);
+    let programs = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/programs");
+    bench(&BenchOptions {
+        json: true,
+        filter: Some("fib".to_string()),
+        programs_dir: Some(programs.display().to_string()),
+        server: true,
+        trace_out: Some(trace_path.display().to_string()),
+        ..BenchOptions::default()
+    })
+    .expect("bench --server runs");
+    let trace = std::fs::read_to_string(&trace_path).expect("bench --server writes its trace");
+    for needle in ["\"ph\":\"X\"", "\"name\":\"summarize\""] {
+        assert!(
+            trace.contains(needle),
+            "bench --server: expected {needle} in the trace"
         );
     }
 }
