@@ -127,13 +127,15 @@ impl Json {
             Json::Int(v) => {
                 let _ = write!(out, "{v}");
             }
-            Json::Float(v) => {
-                if v.is_finite() {
-                    let _ = write!(out, "{v}");
-                } else {
-                    out.push_str("null");
+            Json::Float(v) if v.is_finite() => {
+                let _ = write!(out, "{v}");
+                // An integral float keeps a fraction, so it reads back as a
+                // `Float` with the same bits (`3.0`, `-0.0`).
+                if v.fract() == 0.0 {
+                    out.push_str(".0");
                 }
             }
+            Json::Float(_) => out.push_str("null"),
             Json::Str(s) => quote_into(out, s),
             Json::Array(items) => {
                 out.push('[');
@@ -449,6 +451,23 @@ mod tests {
     }
 
     #[test]
+    fn integral_floats_render_with_a_fraction() {
+        for (v, text) in [
+            (3.0, "3.0"),
+            (-0.0, "-0.0"),
+            (1.5, "1.5"),
+            (1e-7, "0.0000001"),
+        ] {
+            assert_eq!(Json::Float(v).compact(), text);
+            let parsed = Json::parse(text);
+            assert!(
+                matches!(parsed, Ok(Json::Float(r)) if r.to_bits() == v.to_bits()),
+                "{text} read back as {parsed:?}"
+            );
+        }
+    }
+
+    #[test]
     fn rejects_malformed_documents() {
         for bad in [
             "",
@@ -484,10 +503,9 @@ mod tests {
     }
 
     /// Builds a document from a word stream, at most 8 levels deep.  Strings
-    /// mix every escape arm with multi-byte characters.  A float is written
-    /// in its shortest form without an exponent, so an integral one within
-    /// `i64` reads back as an `Int`: floats are odd sixteenths, or integral
-    /// with a magnitude past 2^63, which read back as floats.
+    /// mix every escape arm with multi-byte characters.  Floats are odd
+    /// sixteenths, integral values inside and past the `i64` range, and
+    /// `-0.0`.
     fn build(words: &mut impl Iterator<Item = u64>, depth: usize) -> Json {
         let w = words.next().unwrap_or(0);
         let len = (w >> 8) % 4;
@@ -496,19 +514,23 @@ mod tests {
             0 => Json::Null,
             1 => Json::Bool(w & 0x100 != 0),
             2 => Json::Int(words.next().unwrap_or(w) as i64),
-            3 if w & 0x100 != 0 => Json::Float(f64::from((w >> 9) as i32 | 1) / 16.0),
-            3 => {
-                // Past 2^63 every float is integral; the `| 1` keeps -2^63,
-                // which is an `i64`, out.
-                let step =
-                    f64::from((w >> 10) as u16 | 1) * 2f64.powi(11 + ((w >> 26) % 900) as i32);
-                let magnitude = 2f64.powi(63) + step;
-                Json::Float(if w & 0x200 != 0 {
-                    -magnitude
-                } else {
-                    magnitude
-                })
-            }
+            3 => Json::Float(match len {
+                0 => f64::from((w >> 10) as i32 | 1) / 16.0,
+                1 => ((w as i64) >> 11) as f64,
+                2 => -0.0,
+                _ => {
+                    // Past 2^63 every float is integral; the `| 1` keeps
+                    // -2^63, which is an `i64`, out.
+                    let step =
+                        f64::from((w >> 11) as u16 | 1) * 2f64.powi(11 + ((w >> 27) % 900) as i32);
+                    let magnitude = 2f64.powi(63) + step;
+                    if w & 0x400 != 0 {
+                        -magnitude
+                    } else {
+                        magnitude
+                    }
+                }
+            }),
             4 => Json::Str(text(words, (w >> 8) % 8)),
             5 => Json::Array((0..len).map(|_| build(words, depth + 1)).collect()),
             _ => Json::Object(
@@ -529,6 +551,25 @@ mod tests {
             .collect()
     }
 
+    /// Equality that tells floats apart by their bits, so `-0.0` is not
+    /// `0.0`.
+    fn same_bits(a: &Json, b: &Json) -> bool {
+        match (a, b) {
+            (Json::Float(x), Json::Float(y)) => x.to_bits() == y.to_bits(),
+            (Json::Array(xs), Json::Array(ys)) => {
+                xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| same_bits(x, y))
+            }
+            (Json::Object(xs), Json::Object(ys)) => {
+                xs.len() == ys.len()
+                    && xs
+                        .iter()
+                        .zip(ys)
+                        .all(|((k, x), (l, y))| k == l && same_bits(x, y))
+            }
+            _ => a == b,
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -540,7 +581,7 @@ mod tests {
             let compact = doc.compact();
             for text in [compact.clone(), doc.pretty()] {
                 let parsed = Json::parse(&text).expect("parses its own output");
-                prop_assert_eq!(&parsed, &doc);
+                prop_assert!(same_bits(&parsed, &doc), "{} read back as {:?}", text, parsed);
                 prop_assert_eq!(parsed.compact(), compact.clone());
             }
         }
