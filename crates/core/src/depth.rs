@@ -9,7 +9,10 @@
 //! the arguments of any recursive call it may perform — and recognizes the
 //! two descent patterns that drive every benchmark in the paper's
 //! evaluation: decrement-by-a-constant (linear depth) and
-//! division-by-a-constant (logarithmic depth).
+//! division-by-a-constant (logarithmic depth).  The relation is collected
+//! by a visitor of the summarizer's forward walk
+//! ([`Summarizer::walk`](crate::summarize::Summarizer::walk)), which binds
+//! the formals of each call to an SCC member.
 
 use crate::lower::lower_expr;
 use crate::summarize::{Summarizer, Visit};
@@ -34,18 +37,6 @@ impl DepthBound {
     pub fn to_term(&self) -> Term {
         match self {
             DepthBound::Linear(t) => Term::max(vec![Term::one(), t.clone()]),
-            DepthBound::Logarithmic(t) => Term::add(vec![
-                Term::log2(Term::max(vec![Term::one(), t.clone()])),
-                Term::int(2),
-            ]),
-        }
-    }
-
-    /// The bound with `max(1, ·)` dropped — a polynomial usable for direct
-    /// substitution when the argument is known to be at least one.
-    pub fn raw_term(&self) -> Term {
-        match self {
-            DepthBound::Linear(t) => t.clone(),
             DepthBound::Logarithmic(t) => Term::add(vec![
                 Term::log2(Term::max(vec![Term::one(), t.clone()])),
                 Term::int(2),
