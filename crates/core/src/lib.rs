@@ -5,17 +5,20 @@
 //!
 //! * [`summarize::Summarizer`] — intra-procedural summarization
 //!   (`Summary(P, φ)` of §3) over the structured IR, with CRA-style loop
-//!   summarization,
+//!   summarization, and the one forward walk ([`summarize::Summarizer::walk`])
+//!   that hands each `assert` and call, with the formula reaching it, to a
+//!   visitor: assertion checking and the descent relation of [`depth`],
 //! * [`height`] — height-based recurrence analysis: Alg. 2 (hypothetical
 //!   summaries and candidate recurrence inequations), Alg. 3 (stratified
 //!   recurrence construction), recurrence solving (§4.1, §4.4),
 //! * [`depth`] — depth-bound analysis `ζ_P` (§4.2, Alg. 4),
-//! * [`analysis::Analyzer`] — the bottom-up interprocedural driver producing
+//! * [`analysis::Analyzer`] — the bottom-up interprocedural driver (a
+//!   dependency-counted ready queue) producing
 //!   [`analysis::ProcedureSummary`]s and assertion verdicts,
 //! * [`complexity`] — resource-bound extraction and asymptotic
 //!   classification (Table 1),
-//! * [`baseline::BaselineAnalyzer`] — the ICRA-style comparator that falls
-//!   back to Kleene iteration on non-linear recursion.
+//! * [`baseline::BaselineAnalyzer`] — the ICRA-style comparator: the same
+//!   driver, with Kleene iteration as its step for recursive components.
 //!
 //! ```
 //! use chora_core::{Analyzer, complexity};
