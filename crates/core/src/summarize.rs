@@ -320,9 +320,10 @@ impl<'a> Summarizer<'a> {
                 let (guard_t, guard_f) = guards(c, vars, fresh);
                 let one_iteration = guard_t.sequence(&body_sum.fall_through, vars);
                 let iterations = self.loop_summary(&one_iteration, vars, fresh);
-                let in_loop = prefix.sequence(&iterations, vars).sequence(&guard_t, vars);
+                let looped = prefix.sequence(&iterations, vars);
+                let in_loop = looped.sequence(&guard_t, vars);
                 self.walk(body, vars, scc_override, in_loop, fresh, visit);
-                prefix.sequence(&iterations, vars).sequence(&guard_f, vars)
+                looped.sequence(&guard_f, vars)
             }
             Stmt::Return(_) => TransitionFormula::bottom(),
             other => {

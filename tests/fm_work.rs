@@ -34,14 +34,14 @@ fn fm_work_of_one_suite_pass_is_pinned() {
     assert_eq!(
         stats::snapshot(),
         FmStats {
-            rows_generated: 28_687,
-            rows_deduped: 4_286,
-            rows_dominated: 1_679,
+            rows_generated: 28_649,
+            rows_deduped: 4_271,
+            rows_dominated: 1_665,
             imbert_skipped: 1_462,
             early_unsat_exits: 418,
             max_width: 500,
-            emptiness_checks: 8_402,
-            emptiness_memo_hits: 4_749,
+            emptiness_checks: 8_200,
+            emptiness_memo_hits: 4_547,
             emptiness_witnesses: 2_354,
             overflow_restarts: 0,
         }
