@@ -8,7 +8,7 @@ use crate::json::Json;
 use crate::parser::parse_program;
 use chora_core::{
     complexity, AnalysisConfig, AnalysisResult, Analyzer, CacheStats, ComplexityClass, DiskStore,
-    RemoteConfig, RemoteStore, SummaryStore, TieredConfig, TieredStore,
+    RemoteStore, SummaryStore, TieredConfig, TieredStore,
 };
 use chora_expr::Symbol;
 use chora_ir::Program;
@@ -209,12 +209,9 @@ fn open_store(
     };
     match remote_cache {
         Some(spec) => {
-            let remote =
-                RemoteStore::from_spec(spec, RemoteConfig::default()).ok_or_else(|| {
-                    CliError(
-                        "--remote-cache expects ADDR[,ADDR...] with at least one address".into(),
-                    )
-                })?;
+            let remote = RemoteStore::from_spec(spec).ok_or_else(|| {
+                CliError("--remote-cache expects ADDR[,ADDR...] with at least one address".into())
+            })?;
             Ok(Some(CliStore::Tiered(Box::new(TieredStore::with_remote(
                 disk,
                 remote,

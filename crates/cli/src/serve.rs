@@ -26,9 +26,8 @@ use crate::driver::{
 use crate::json::Json;
 use crate::progcache::{response_key, source_key};
 use chora_core::{
-    entry_key, total_corrupt_evictions, total_gc_evictions, DiskStore, FlightCounters,
-    ProcedureSummary, RemoteConfig, RemoteStore, ScopeResolver, ShardedLru, SingleFlight,
-    StoreStats, SummaryStore, TierCounters, TieredConfig, TieredStore,
+    entry_key, DiskStore, FlightCounters, ProcedureSummary, RemoteStore, ScopeResolver, ShardedLru,
+    SingleFlight, SummaryStore, TierCounters, TieredConfig, TieredStore,
 };
 use chora_ir::{Fingerprint, Program};
 use chora_server::client::Client;
@@ -247,8 +246,8 @@ impl SummaryStore for ServiceStore {
         self.flight.store(key, summaries, scopes);
     }
 
-    fn stats(&self) -> Vec<StoreStats> {
-        self.flight.stats()
+    fn eviction_totals(&self) -> (u64, u64) {
+        self.flight.eviction_totals()
     }
 }
 
@@ -306,7 +305,7 @@ impl AnalysisService {
         let remote = opts
             .remote_cache
             .as_ref()
-            .and_then(|spec| RemoteStore::from_spec(spec, RemoteConfig::default()));
+            .and_then(|spec| RemoteStore::from_spec(spec));
         if opts.remote_cache.is_some() && remote.is_none() {
             return Err(CliError(
                 "--remote-cache expects ADDR[,ADDR...] with at least one address".to_string(),
@@ -810,7 +809,7 @@ impl AnalysisBackend for AnalysisService {
     /// cell to borrow).
     fn sync_metrics(&self) {
         let c = self.store.tiered().counters();
-        let stats = self.store.tiered().stats();
+        let (corrupt, gc) = self.store.tiered().eviction_totals();
         let reg = registry();
         let counters: [(&'static str, &'static str, u64); 11] = [
             (
@@ -836,7 +835,7 @@ impl AnalysisBackend for AnalysisService {
             (
                 "chora_cache_evictions_total",
                 "Store entries evicted for any reason (LRU, age, corruption, GC).",
-                total_corrupt_evictions(&stats) + total_gc_evictions(&stats),
+                corrupt + gc,
             ),
             (
                 "chora_cache_evicted_bytes_total",

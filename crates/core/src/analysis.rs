@@ -262,7 +262,7 @@ impl Analyzer {
         // Store eviction counters run over the store's lifetime; report
         // only this batch's deltas (stores are reused across bench runs
         // and live for a whole `chora serve` process).
-        let (evictions_before, gc_evictions_before) = eviction_totals(store);
+        let (evictions_before, gc_evictions_before) = store.map_or((0, 0), |s| s.eviction_totals());
         // One flight group per batch: a single-flight store layer must
         // treat this run's own in-progress computations as plain misses
         // (their stores happen in the fold below), while still letting
@@ -471,7 +471,7 @@ impl Analyzer {
             metrics.cache_hits.add(run.result.cache.hits);
             metrics.cache_misses.add(run.result.cache.misses);
         }
-        let (evictions_after, gc_evictions_after) = eviction_totals(store);
+        let (evictions_after, gc_evictions_after) = store.map_or((0, 0), |s| s.eviction_totals());
         let evictions = evictions_after.saturating_sub(evictions_before);
         let gc_evictions = gc_evictions_after.saturating_sub(gc_evictions_before);
         runs.into_iter()
@@ -777,19 +777,6 @@ enum TaskOutput {
 /// registry on first use.  These are *global* cumulative counters (the
 /// per-run numbers stay on [`AnalysisResult`]); bumps happen once per task
 /// or per run, far off any hot path.
-/// Lifetime `(corruption, space-or-age)` eviction totals of `store`,
-/// summed across its tiers — the before/after pair behind the per-batch
-/// deltas in [`crate::store::CacheStats`].
-fn eviction_totals(store: Option<&dyn SummaryStore>) -> (u64, u64) {
-    store.map_or((0, 0), |s| {
-        let stats = s.stats();
-        (
-            crate::store::total_corrupt_evictions(&stats),
-            crate::store::total_gc_evictions(&stats),
-        )
-    })
-}
-
 struct AnalysisMetrics {
     analyses: &'static chora_telemetry::metrics::Counter,
     cache_hits: &'static chora_telemetry::metrics::Counter,
@@ -1269,6 +1256,39 @@ mod tests {
         assert_eq!(warm[1].cache.hits, 3);
         same_analysis(&warm[0], &cold[0]);
         same_analysis(&warm[1], &cold[1]);
+    }
+
+    #[test]
+    fn a_batch_reports_the_lru_evictions_of_its_fold() {
+        use crate::store::{TieredConfig, TieredStore};
+        let analyzer = Analyzer::new();
+        let one_shard = |cap_bytes| {
+            TieredStore::new(
+                None,
+                TieredConfig {
+                    cap_bytes,
+                    max_age: None,
+                    shards: 1,
+                },
+            )
+        };
+        let (a, b) = (cached_program(1), cached_program(5));
+        let uncapped = one_shard(None);
+        analyzer.analyze_batch_with_store(&[&a, &b], Some(&uncapped));
+        // A cap one byte under the batch's footprint: the fold's own
+        // stores push the shard over it and evict by LRU.
+        let store = one_shard(Some(uncapped.counters().mem_bytes - 1));
+        let (c, d) = (cached_program(2), cached_program(7));
+        for batch in [[&a, &b], [&c, &d]] {
+            let before = store.counters().lru_evictions;
+            let results = analyzer.analyze_batch_with_store(&batch, Some(&store));
+            let evicted = store.counters().lru_evictions - before;
+            assert!(evicted > 0, "the cap must force LRU evictions");
+            for result in &results {
+                assert_eq!(result.cache.gc_evictions, evicted, "{}", result.cache);
+                assert_eq!(result.cache.evictions, 0);
+            }
+        }
     }
 
     #[test]

@@ -69,7 +69,6 @@ pub use cache::{entry_key, next_flight_group, ComponentScopes, NullScopes, Scope
 pub use complexity::ComplexityClass;
 pub use depth::DepthBound;
 pub use store::{
-    total_corrupt_evictions, total_gc_evictions, CacheStats, DiskStore, FlightCounters,
-    RemoteConfig, RemoteStore, ShardedLru, SingleFlight, StoreStats, SummaryStore, TierCounters,
-    TieredConfig, TieredStore,
+    CacheStats, DiskStore, FlightCounters, RemoteStore, ShardedLru, SingleFlight, SummaryStore,
+    TierCounters, TieredConfig, TieredStore,
 };

@@ -1,13 +1,14 @@
 //! The persistent on-disk backend: one JSON file per component key under a
 //! versioned cache directory.
 
-use super::{StoreStats, SummaryStore};
+use super::{load_histogram, SummaryStore};
 use crate::analysis::ProcedureSummary;
 use crate::cache::{decode_entry, encode_entry, entry_key, ScopeResolver, CACHE_VERSION};
 use chora_ir::Fingerprint;
+use chora_telemetry::metrics::Histogram;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, SystemTime};
+use std::time::{Duration, Instant, SystemTime};
 
 /// Distinguishes temp files (`<key>.tmp.<pid>.<seq>`) written by this
 /// process from those of concurrent writers, and two writer threads of one
@@ -22,7 +23,9 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 /// The version directory means a future encoding bump simply starts a fresh
 /// namespace; stray files from other versions are never read.  Within the
 /// directory, any file that fails to decode (truncated write, manual edit,
-/// hash collision on `key`) is deleted and counted as an eviction.
+/// hash collision on `key`) is deleted and counted as an eviction.  As the
+/// disk tier of a [`super::TieredStore`] it also carries the stack's age
+/// limit: an expired entry is removed on sight instead of served.
 ///
 /// The layout is safe for any number of concurrent readers and writers,
 /// across threads and processes: writes land under a unique temp name and
@@ -32,12 +35,16 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 /// bytes for identical inputs).
 pub struct DiskStore {
     dir: PathBuf,
+    /// Entries older than this are removed instead of served (`None` =
+    /// never); set by the [`super::TieredStore`] that owns this tier.
+    pub(super) max_age: Option<Duration>,
     hits: AtomicU64,
     misses: AtomicU64,
-    stored: AtomicU64,
+    age_evictions: AtomicU64,
     evicted: AtomicU64,
     gc_removed: AtomicU64,
     removed_bytes: AtomicU64,
+    load_hist: &'static Histogram,
 }
 
 impl DiskStore {
@@ -69,18 +76,36 @@ impl DiskStore {
         }
         Ok(DiskStore {
             dir,
+            max_age: None,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            stored: AtomicU64::new(0),
+            age_evictions: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
             gc_removed: AtomicU64::new(0),
             removed_bytes: AtomicU64::new(0),
+            load_hist: load_histogram("disk"),
         })
     }
 
     /// The versioned directory entries live in.
     pub fn dir(&self) -> &Path {
         &self.dir
+    }
+
+    /// Loads this handle answered.
+    pub(super) fn hits(&self) -> u64 {
+        self.hits.load(Ordering::Relaxed)
+    }
+
+    /// Loads this handle could not answer.
+    pub(super) fn misses(&self) -> u64 {
+        self.misses.load(Ordering::Relaxed)
+    }
+
+    /// Entries a load removed because they outlived `max_age` (also
+    /// counted in [`DiskStore::gc_evictions`]).
+    pub(super) fn age_evictions(&self) -> u64 {
+        self.age_evictions.load(Ordering::Relaxed)
     }
 
     /// How many entries this handle has discarded as *invalid* (corrupted,
@@ -90,7 +115,7 @@ impl DiskStore {
     }
 
     /// How many entries this handle has removed for *space or age* reasons
-    /// (explicit removals and [`DiskStore::gc`] passes).
+    /// (expired entries a load removed, and [`DiskStore::gc`] passes).
     pub fn gc_evictions(&self) -> u64 {
         self.gc_removed.load(Ordering::Relaxed)
     }
@@ -99,17 +124,45 @@ impl DiskStore {
         self.dir.join(format!("{}.json", key.to_hex()))
     }
 
-    /// Loads, validates, and decodes the entry under `key`, also reporting
-    /// its age (time since last write) when the filesystem can say.
-    /// Corrupt (or unrescopable) entries are deleted and counted, exactly
-    /// like [`load`].
+    /// The disk's one load path: loads, validates, and decodes the entry
+    /// under `key`, also reporting its age (time since last write) when the
+    /// filesystem can say.  Corrupt (or unrescopable) entries are deleted
+    /// and counted as evictions, expired ones as age evictions; every call
+    /// counts a hit or a miss and is timed in the `tier="disk"` load
+    /// histogram.
     ///
     /// Returns the *serialized* text alongside the decoded summaries so a
     /// fronting tier ([`super::TieredStore`]) can keep the validated bytes
-    /// without re-encoding.
-    ///
-    /// [`load`]: SummaryStore::load
-    pub fn load_validated(
+    /// without re-encoding, and the age so promotion never extends an
+    /// entry's lifetime.
+    pub(super) fn load_validated(
+        &self,
+        key: &Fingerprint,
+        scopes: &dyn ScopeResolver,
+    ) -> Option<(String, Vec<ProcedureSummary>, Option<Duration>)> {
+        let started = Instant::now();
+        let result = match self.read_entry(key, scopes) {
+            Some((_, _, Some(age))) if self.max_age.is_some_and(|limit| age > limit) => {
+                self.remove(key);
+                self.age_evictions.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+            hit => hit,
+        };
+        let counter = if result.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        self.load_hist
+            .observe_ms(started.elapsed().as_secs_f64() * 1e3);
+        result
+    }
+
+    /// Reads and decodes the entry under `key` with its age, evicting one
+    /// that does not decode.
+    fn read_entry(
         &self,
         key: &Fingerprint,
         scopes: &dyn ScopeResolver,
@@ -171,7 +224,7 @@ impl DiskStore {
 
     /// Removes the entry under `key` (a GC deletion, not a corruption
     /// eviction).  Racing readers see a miss; racing writers re-create it.
-    pub fn remove(&self, key: &Fingerprint) {
+    fn remove(&self, key: &Fingerprint) {
         let path = self.entry_path(key);
         let size = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
         if std::fs::remove_file(path).is_ok() {
@@ -270,34 +323,17 @@ impl DiskStore {
 
 impl SummaryStore for DiskStore {
     fn load(&self, key: &Fingerprint, scopes: &dyn ScopeResolver) -> Option<Vec<ProcedureSummary>> {
-        match self.load_validated(key, scopes) {
-            Some((_, summaries, _)) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(summaries)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.load_validated(key, scopes)
+            .map(|(_, summaries, _)| summaries)
     }
 
     fn store(&self, key: &Fingerprint, summaries: &[ProcedureSummary], scopes: &dyn ScopeResolver) {
         if let Some(encoded) = encode_entry(key, summaries, scopes) {
             self.store_encoded(key, &encoded);
-            self.stored.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    fn stats(&self) -> Vec<StoreStats> {
-        vec![StoreStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            stores: self.stored.load(Ordering::Relaxed),
-            corrupt_evictions: self.evictions(),
-            gc_evictions: self.gc_evictions(),
-            evicted_bytes: self.removed_bytes(),
-            ..StoreStats::named("disk")
-        }]
+    fn eviction_totals(&self) -> (u64, u64) {
+        (self.evictions(), self.gc_evictions())
     }
 }

@@ -45,7 +45,6 @@ pub struct ShardedLru<V> {
     max_age: Option<Duration>,
     hits: AtomicU64,
     misses: AtomicU64,
-    inserts: AtomicU64,
     lru_evictions: AtomicU64,
     age_evictions: AtomicU64,
     rejections: AtomicU64,
@@ -72,7 +71,6 @@ impl<V> ShardedLru<V> {
             max_age,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
             lru_evictions: AtomicU64::new(0),
             age_evictions: AtomicU64::new(0),
             rejections: AtomicU64::new(0),
@@ -162,7 +160,6 @@ impl<V> ShardedLru<V> {
             shard.bytes -= old.cost;
         }
         shard.bytes += cost;
-        self.inserts.fetch_add(1, Ordering::Relaxed);
         let Some(cap) = self.shard_cap else { return };
         while shard.bytes > cap {
             // The just-inserted entry is never the minimum: it carries the
@@ -216,11 +213,6 @@ impl<V> ShardedLru<V> {
     /// Lookups not answered: absent, expired or rejected entries.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Entries inserted (oversized ones refused are not counted).
-    pub fn inserts(&self) -> u64 {
-        self.inserts.load(Ordering::Relaxed)
     }
 
     /// Entries evicted by LRU pressure against the byte cap.
@@ -295,7 +287,6 @@ mod tests {
         // Oversized entries are refused outright.
         cache.put(&key(3), 3, 1 << 20);
         assert_eq!(cache.get(&key(3)), None);
-        assert_eq!(cache.inserts(), 3);
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //!
 //! # Architecture
 //!
-//! [`SummaryStore`] is the driver-facing trait (decoded summaries in,
-//! decoded summaries out), and every store reports one uniform
-//! [`StoreStats`] row per tier.
+//! [`SummaryStore`] is the driver-facing trait: decoded summaries in,
+//! decoded summaries out, plus the two lifetime eviction totals behind each
+//! batch's [`CacheStats`].  Every other counter of the stack is in one
+//! snapshot, [`TieredStore::counters`].
 //!
 //! [`TieredStore`] is the store the daemon and the CLI use: an L1 memory
 //! tier over an optional L2 disk tier over an optional L3 remote tier.
@@ -22,7 +23,7 @@
 //!   entries.  A `TieredStore` with no other tier is the plain in-memory
 //!   store.
 //! * The disk tier is a [`DiskStore`] (one file per key under a versioned
-//!   cache directory) plus age expiry.
+//!   cache directory) with the stack's age limit.
 //! * [`RemoteStore`] speaks `GET`/`PUT /v1/summaries/{keyhex}` against one
 //!   or more `chora serve` daemons (chosen per key by rendezvous hashing),
 //!   with a per-target circuit breaker so a dead peer degrades to the
@@ -45,7 +46,7 @@ mod tiered;
 
 pub use disk::DiskStore;
 pub use lru::ShardedLru;
-pub use remote::{RemoteConfig, RemoteStore};
+pub use remote::RemoteStore;
 pub use singleflight::{FlightCounters, SingleFlight};
 pub use tiered::{TierCounters, TieredConfig, TieredStore};
 
@@ -80,60 +81,6 @@ impl fmt::Display for CacheStats {
     }
 }
 
-/// A uniform point-in-time snapshot of one store tier: cumulative counters
-/// plus current-size gauges.  Every [`SummaryStore`] reports one entry per
-/// tier via [`SummaryStore::stats`], nearest tier first, so callers render
-/// and delta them without knowing the store's shape.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StoreStats {
-    /// Which tier this row describes (`"memory"`, `"disk"`, `"remote"`).
-    pub tier: &'static str,
-    /// Loads this tier answered.
-    pub hits: u64,
-    /// Loads this tier was asked and could not answer.
-    pub misses: u64,
-    /// Entries written into this tier (driver stores and promotions).
-    pub stores: u64,
-    /// Entries discarded as corrupted, version-mismatched, or
-    /// unrescopable.
-    pub corrupt_evictions: u64,
-    /// Entries removed for space or age reasons (LRU pressure, expiry,
-    /// GC passes) — normal turnover, kept apart from corruption.
-    pub gc_evictions: u64,
-    /// Bytes removed from this tier for any reason.
-    pub evicted_bytes: u64,
-    /// Current entry count, where the tier can say cheaply (else 0).
-    pub entries: u64,
-    /// Current serialized bytes held, where the tier can say cheaply.
-    pub bytes: u64,
-    /// Transport or I/O failures (remote tier: dead or misbehaving peer).
-    pub errors: u64,
-    /// Probes skipped outright (remote tier: circuit breaker open because
-    /// every peer is in its failure cooldown).
-    pub skipped: u64,
-}
-
-impl StoreStats {
-    /// An all-zero snapshot for `tier`.
-    pub fn named(tier: &'static str) -> StoreStats {
-        StoreStats {
-            tier,
-            ..StoreStats::default()
-        }
-    }
-}
-
-/// Sums corruption evictions across a [`SummaryStore::stats`] snapshot.
-pub fn total_corrupt_evictions(stats: &[StoreStats]) -> u64 {
-    stats.iter().map(|t| t.corrupt_evictions).sum()
-}
-
-/// Sums space/age (GC) evictions across a [`SummaryStore::stats`]
-/// snapshot.
-pub fn total_gc_evictions(stats: &[StoreStats]) -> u64 {
-    stats.iter().map(|t| t.gc_evictions).sum()
-}
-
 /// A keyed store of per-component summary lists.
 ///
 /// Implementations must be best-effort: `load` returns `None` for anything
@@ -156,11 +103,12 @@ pub trait SummaryStore: Sync {
     /// Caches the summaries of one component under its key.
     fn store(&self, key: &Fingerprint, summaries: &[ProcedureSummary], scopes: &dyn ScopeResolver);
 
-    /// Per-tier statistics, nearest tier first.  The default is the empty
-    /// snapshot: a store with nothing to report.
-    fn stats(&self) -> Vec<StoreStats> {
-        Vec::new()
-    }
+    /// Lifetime `(corruption, space-or-age)` eviction totals, summed
+    /// across the store's tiers: entries discarded as corrupted,
+    /// version-mismatched or unrescopable, and entries removed by LRU
+    /// pressure, expiry or GC.  The driver reports their per-batch deltas in
+    /// [`CacheStats`].
+    fn eviction_totals(&self) -> (u64, u64);
 }
 
 /// Registers (or fetches) the per-tier load-latency histogram — one
@@ -245,7 +193,7 @@ mod tests {
     use std::time::Duration;
 
     fn corrupt_total(store: &dyn SummaryStore) -> u64 {
-        total_corrupt_evictions(&store.stats())
+        store.eviction_totals().0
     }
 
     #[test]
@@ -297,14 +245,12 @@ mod tests {
         assert_eq!(loaded.len(), 2);
         assert_eq!(loaded[0].name, "f");
         assert_eq!(loaded[1].name, "g");
-        let stats = store.stats();
-        assert_eq!(stats.len(), 1);
-        assert_eq!(stats[0].tier, "memory");
-        assert_eq!(stats[0].hits, 1);
-        assert_eq!(stats[0].misses, 1);
-        assert_eq!(stats[0].stores, 1);
-        assert_eq!(stats[0].entries, 1);
-        assert_eq!(stats[0].corrupt_evictions, 0);
+        let c = store.counters();
+        assert_eq!(c.mem_hits, 1);
+        assert_eq!(c.misses, 1);
+        assert_eq!(c.stores, 1);
+        assert_eq!(c.mem_entries, 1);
+        assert_eq!(c.corrupt_evictions, 0);
     }
 
     #[test]
@@ -322,10 +268,7 @@ mod tests {
         assert!(store.load(&key, &NullScopes).is_none());
         assert_eq!(store.evictions(), 1);
         assert_eq!(store.gc_evictions(), 0, "corruption is not GC");
-        let stats = store.stats();
-        assert_eq!(stats[0].tier, "disk");
-        assert_eq!(stats[0].corrupt_evictions, 1);
-        assert_eq!(stats[0].gc_evictions, 0);
+        assert_eq!(store.eviction_totals(), (1, 0));
         assert!(!path.exists(), "corrupt entry must be deleted");
         // And the slot is usable again.
         store.store(&key, &[summary("f")], &NullScopes);

@@ -8,7 +8,7 @@
 //! rendezvous hashing: each key deterministically picks one owner, so the
 //! fleet shares one logical cache without coordination.
 
-use super::{load_histogram, StoreStats};
+use super::load_histogram;
 use crate::analysis::ProcedureSummary;
 use crate::cache::{decode_entry, ScopeResolver};
 use chora_ir::Fingerprint;
@@ -18,32 +18,20 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Connection policy of a [`RemoteStore`].
-#[derive(Clone, Copy, Debug)]
-pub struct RemoteConfig {
-    /// Bound on establishing a TCP connection to a cache daemon.  A cache
-    /// probe must never stall an analysis the way a dead-but-routable peer
-    /// would under the OS default (minutes).
-    pub connect_timeout: Duration,
-    /// Bound on each request once connected.
-    pub io_timeout: Duration,
-    /// After a connection-level failure the target is considered down and
-    /// skipped, without probing, for this long.
-    pub cooldown: Duration,
-    /// Idle keep-alive connections retained per target.
-    pub pool_per_target: usize,
-}
+/// Bound on establishing a TCP connection to a cache daemon.  A cache probe
+/// must never stall an analysis the way a dead-but-routable peer would under
+/// the OS default (minutes).
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 
-impl Default for RemoteConfig {
-    fn default() -> Self {
-        RemoteConfig {
-            connect_timeout: Duration::from_secs(1),
-            io_timeout: Duration::from_secs(10),
-            cooldown: Duration::from_secs(5),
-            pool_per_target: 8,
-        }
-    }
-}
+/// Bound on each request once connected.
+const IO_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// After a connection-level failure the target is considered down and
+/// skipped, without probing, for this long.
+const COOLDOWN: Duration = Duration::from_secs(5);
+
+/// Idle keep-alive connections retained per target.
+const POOL_PER_TARGET: usize = 8;
 
 /// One cache daemon in the ring: its address, a small pool of keep-alive
 /// connections, and a circuit breaker.
@@ -91,7 +79,6 @@ impl Target {
 ///   the hot path.
 pub struct RemoteStore {
     targets: Vec<Target>,
-    config: RemoteConfig,
     hits: AtomicU64,
     misses: AtomicU64,
     stores: AtomicU64,
@@ -106,7 +93,7 @@ impl RemoteStore {
     /// by commas (`host:port[,host:port...]`, an optional `http://` prefix
     /// and trailing `/` are tolerated).  Returns `None` when `spec`
     /// contains no usable address.
-    pub fn from_spec(spec: &str, config: RemoteConfig) -> Option<RemoteStore> {
+    pub fn from_spec(spec: &str) -> Option<RemoteStore> {
         let targets: Vec<Target> = spec
             .split(',')
             .map(|part| {
@@ -126,7 +113,6 @@ impl RemoteStore {
         }
         Some(RemoteStore {
             targets,
-            config,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             stores: AtomicU64::new(0),
@@ -201,8 +187,8 @@ impl RemoteStore {
                 Client::with_config(
                     &target.addr,
                     ClientConfig {
-                        connect_timeout: Some(self.config.connect_timeout),
-                        io_timeout: self.config.io_timeout,
+                        connect_timeout: Some(CONNECT_TIMEOUT),
+                        io_timeout: IO_TIMEOUT,
                         ..ClientConfig::default()
                     },
                 )
@@ -210,13 +196,13 @@ impl RemoteStore {
         match request(&mut client) {
             Ok(result) => {
                 let mut pool = target.pool.lock().expect("remote target pool lock");
-                if pool.len() < self.config.pool_per_target {
+                if pool.len() < POOL_PER_TARGET {
                     pool.push(client);
                 }
                 Ok(result)
             }
             Err(e) => {
-                target.mark_down(self.config.cooldown);
+                target.mark_down(COOLDOWN);
                 Err(e)
             }
         }
@@ -300,19 +286,6 @@ impl RemoteStore {
             }
         }
     }
-
-    /// This tier's statistics row.
-    pub(super) fn stats(&self) -> StoreStats {
-        StoreStats {
-            hits: self.hits(),
-            misses: self.misses(),
-            stores: self.stores(),
-            corrupt_evictions: self.corrupt(),
-            errors: self.errors(),
-            skipped: self.skipped(),
-            ..StoreStats::named("remote")
-        }
-    }
 }
 
 #[cfg(test)]
@@ -321,18 +294,15 @@ mod tests {
 
     #[test]
     fn specs_tolerate_schemes_slashes_and_blanks() {
-        let remote = RemoteStore::from_spec(
-            "http://127.0.0.1:7561/, 127.0.0.1:7562 ,",
-            RemoteConfig::default(),
-        )
-        .expect("two targets");
+        let remote = RemoteStore::from_spec("http://127.0.0.1:7561/, 127.0.0.1:7562 ,")
+            .expect("two targets");
         assert_eq!(remote.addrs(), vec!["127.0.0.1:7561", "127.0.0.1:7562"]);
-        assert!(RemoteStore::from_spec(" , ", RemoteConfig::default()).is_none());
+        assert!(RemoteStore::from_spec(" , ").is_none());
     }
 
     #[test]
     fn rendezvous_owner_is_stable_and_spreads_keys() {
-        let remote = RemoteStore::from_spec("a:1,b:1,c:1", RemoteConfig::default()).expect("ring");
+        let remote = RemoteStore::from_spec("a:1,b:1,c:1").expect("ring");
         let mut seen = std::collections::HashSet::new();
         for i in 0..64u128 {
             let key = Fingerprint(i * 0x9e37_79b9_7f4a_7c15);
@@ -349,7 +319,7 @@ mod tests {
 
     #[test]
     fn all_targets_down_means_skip_not_stall() {
-        let remote = RemoteStore::from_spec("a:1", RemoteConfig::default()).expect("ring");
+        let remote = RemoteStore::from_spec("a:1").expect("ring");
         remote.targets[0].mark_down(Duration::from_secs(60));
         let key = Fingerprint(7);
         assert!(remote.owner(&key).is_none());

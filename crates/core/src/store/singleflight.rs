@@ -19,7 +19,7 @@
 //! multiple of that bound are presumed abandoned and stolen, so a crashed
 //! leader degrades to a stall, never a hang.
 
-use super::{StoreStats, SummaryStore};
+use super::SummaryStore;
 use crate::analysis::ProcedureSummary;
 use crate::cache::ScopeResolver;
 use chora_ir::Fingerprint;
@@ -223,8 +223,8 @@ impl<S: SummaryStore> SummaryStore for SingleFlight<S> {
         }
     }
 
-    fn stats(&self) -> Vec<StoreStats> {
-        self.inner.stats()
+    fn eviction_totals(&self) -> (u64, u64) {
+        self.inner.eviction_totals()
     }
 }
 

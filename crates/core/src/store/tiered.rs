@@ -4,7 +4,7 @@
 use super::disk::DiskStore;
 use super::lru::ShardedLru;
 use super::remote::RemoteStore;
-use super::{load_histogram, StoreStats, SummaryStore};
+use super::{load_histogram, SummaryStore};
 use crate::analysis::ProcedureSummary;
 use crate::cache::{decode_entry, encode_entry, ScopeResolver};
 use chora_ir::Fingerprint;
@@ -38,95 +38,9 @@ impl Default for TieredConfig {
     }
 }
 
-/// The disk level of a [`TieredStore`]: a [`DiskStore`] plus the stack's
-/// age limit, so expired entries are removed on sight instead of served,
-/// and the entry's on-disk age is reported upward so promotion into
-/// memory never extends a lifetime.
-struct DiskTier {
-    store: DiskStore,
-    max_age: Option<Duration>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    stored: AtomicU64,
-    age_evictions: AtomicU64,
-    load_hist: &'static Histogram,
-}
-
-impl DiskTier {
-    fn new(store: DiskStore, max_age: Option<Duration>) -> DiskTier {
-        DiskTier {
-            store,
-            max_age,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            stored: AtomicU64::new(0),
-            age_evictions: AtomicU64::new(0),
-            load_hist: load_histogram("disk"),
-        }
-    }
-
-    fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    fn age_evictions(&self) -> u64 {
-        self.age_evictions.load(Ordering::Relaxed)
-    }
-
-    /// The decoded summaries under `key`, with the validated text and the
-    /// entry's age for promotion into memory.
-    fn load(
-        &self,
-        key: &Fingerprint,
-        scopes: &dyn ScopeResolver,
-    ) -> Option<(String, Vec<ProcedureSummary>, Option<Duration>)> {
-        let started = Instant::now();
-        let result = match self.store.load_validated(key, scopes) {
-            Some((_, _, Some(age))) if self.max_age.is_some_and(|limit| age > limit) => {
-                self.store.remove(key);
-                self.age_evictions.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            hit => hit,
-        };
-        let counter = if result.is_some() {
-            &self.hits
-        } else {
-            &self.misses
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        self.load_hist
-            .observe_ms(started.elapsed().as_secs_f64() * 1e3);
-        result
-    }
-
-    fn store(&self, key: &Fingerprint, text: &str) {
-        self.store.store_encoded(key, text);
-        self.stored.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn stats(&self) -> StoreStats {
-        StoreStats {
-            hits: self.hits(),
-            misses: self.misses(),
-            stores: self.stored.load(Ordering::Relaxed),
-            corrupt_evictions: self.store.evictions(),
-            // Age expiries remove the file, so the store's GC counter
-            // already holds them.
-            gc_evictions: self.store.gc_evictions(),
-            evicted_bytes: self.store.removed_bytes(),
-            bytes: self.store.disk_bytes(),
-            ..StoreStats::named("disk")
-        }
-    }
-}
-
 /// Cumulative counters and current gauges of a [`TieredStore`], as one
-/// flat snapshot (the shape `/v1/stats` has always served).
+/// flat snapshot: the store stack's one counter snapshot, behind
+/// `/v1/stats`, `/v1/metrics` and `bench --server`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TierCounters {
     /// Loads served by the in-memory tier (zero filesystem work).
@@ -174,7 +88,7 @@ pub struct TierCounters {
 /// plain in-memory store.
 pub struct TieredStore {
     mem: ShardedLru<String>,
-    disk: Option<DiskTier>,
+    disk: Option<DiskStore>,
     remote: Option<RemoteStore>,
     config: TieredConfig,
     mem_load_hist: &'static Histogram,
@@ -204,7 +118,10 @@ impl TieredStore {
     ) -> TieredStore {
         TieredStore {
             mem: ShardedLru::new(config.shards, config.cap_bytes, config.max_age),
-            disk: disk.map(|d| DiskTier::new(d, config.max_age)),
+            disk: disk.map(|mut d| {
+                d.max_age = config.max_age;
+                d
+            }),
             remote,
             config,
             mem_load_hist: load_histogram("memory"),
@@ -220,7 +137,7 @@ impl TieredStore {
 
     /// The disk tier's backing store, when one is configured.
     pub fn disk(&self) -> Option<&DiskStore> {
-        self.disk.as_ref().map(|d| &d.store)
+        self.disk.as_ref()
     }
 
     /// The remote tier, when one is configured.
@@ -258,7 +175,7 @@ impl TieredStore {
     pub fn store_local_text(&self, key: &Fingerprint, text: &str) {
         self.put_mem(key, text.to_string(), None);
         if let Some(disk) = &self.disk {
-            disk.store(key, text);
+            disk.store_encoded(key, text);
         }
     }
 
@@ -269,17 +186,15 @@ impl TieredStore {
         let (mem_entries, mem_bytes) = mem.usage();
         TierCounters {
             mem_hits: mem.hits(),
-            disk_hits: disk.map_or(0, DiskTier::hits),
+            disk_hits: disk.map_or(0, DiskStore::hits),
             misses: self.misses.load(Ordering::Relaxed),
             stores: self.stores.load(Ordering::Relaxed),
             disk_probes: disk.map_or(0, |d| d.hits() + d.misses()),
             lru_evictions: mem.lru_evictions(),
-            age_evictions: mem.age_evictions() + disk.map_or(0, DiskTier::age_evictions),
-            corrupt_evictions: mem.rejections()
-                + disk.map_or(0, |d| d.store.evictions())
-                + self.remote.as_ref().map_or(0, RemoteStore::corrupt),
-            disk_gc_removed: disk.map_or(0, |d| d.store.gc_evictions()),
-            evicted_bytes: mem.evicted_bytes() + disk.map_or(0, |d| d.store.removed_bytes()),
+            age_evictions: mem.age_evictions() + disk.map_or(0, DiskStore::age_evictions),
+            corrupt_evictions: self.eviction_totals().0,
+            disk_gc_removed: disk.map_or(0, DiskStore::gc_evictions),
+            evicted_bytes: mem.evicted_bytes() + disk.map_or(0, DiskStore::removed_bytes),
             mem_entries,
             mem_bytes,
         }
@@ -310,13 +225,17 @@ impl SummaryStore for TieredStore {
         if hit.is_some() {
             return hit;
         }
-        if let Some((text, summaries, age)) = self.disk.as_ref().and_then(|d| d.load(key, scopes)) {
+        if let Some((text, summaries, age)) = self
+            .disk
+            .as_ref()
+            .and_then(|d| d.load_validated(key, scopes))
+        {
             self.put_mem(key, text, age);
             return Some(summaries);
         }
         if let Some((text, summaries)) = self.remote.as_ref().and_then(|r| r.load(key, scopes)) {
             if let Some(disk) = &self.disk {
-                disk.store(key, &text);
+                disk.store_encoded(key, &text);
             }
             self.put_mem(key, text, None);
             return Some(summaries);
@@ -331,7 +250,7 @@ impl SummaryStore for TieredStore {
         };
         self.put_mem(key, encoded.clone(), None);
         if let Some(disk) = &self.disk {
-            disk.store(key, &encoded);
+            disk.store_encoded(key, &encoded);
         }
         if let Some(remote) = &self.remote {
             remote.store(key, &encoded, scopes);
@@ -339,23 +258,17 @@ impl SummaryStore for TieredStore {
         self.stores.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn stats(&self) -> Vec<StoreStats> {
-        let mem = &self.mem;
-        let (entries, bytes) = mem.usage();
-        let mut out = vec![StoreStats {
-            hits: mem.hits(),
-            misses: mem.misses(),
-            stores: mem.inserts(),
-            corrupt_evictions: mem.rejections(),
-            gc_evictions: mem.lru_evictions() + mem.age_evictions(),
-            evicted_bytes: mem.evicted_bytes(),
-            entries,
-            bytes,
-            ..StoreStats::named("memory")
-        }];
-        out.extend(self.disk.as_ref().map(DiskTier::stats));
-        out.extend(self.remote.as_ref().map(RemoteStore::stats));
-        out
+    /// Corruption across all three tiers; LRU and age evictions in memory
+    /// plus the disk's GC removals, which include the expired entries its
+    /// loads removed.
+    fn eviction_totals(&self) -> (u64, u64) {
+        let (mem, disk) = (&self.mem, self.disk.as_ref());
+        (
+            mem.rejections()
+                + disk.map_or(0, DiskStore::evictions)
+                + self.remote.as_ref().map_or(0, RemoteStore::corrupt),
+            mem.lru_evictions() + mem.age_evictions() + disk.map_or(0, DiskStore::gc_evictions),
+        )
     }
 }
 
@@ -531,7 +444,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(60));
         let store = TieredStore::open(&root, config).expect("open");
         assert!(store.load(&key, &NullScopes).is_none(), "expired on disk");
-        assert_eq!(super::super::total_gc_evictions(&store.stats()), 1);
+        assert_eq!(store.eviction_totals(), (0, 1));
         let _ = std::fs::remove_dir_all(&root);
     }
 
