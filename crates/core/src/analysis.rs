@@ -1024,6 +1024,7 @@ impl MinEstimate for Term {
 mod tests {
     use super::*;
     use crate::store::testutil::memory_store;
+    use crate::store::{TieredConfig, TieredStore};
     use chora_ir::{Expr, Stmt};
 
     /// hanoi-shaped recursive cost model plus a non-recursive helper chain.
@@ -1260,7 +1261,6 @@ mod tests {
 
     #[test]
     fn a_batch_reports_the_lru_evictions_of_its_fold() {
-        use crate::store::{TieredConfig, TieredStore};
         let analyzer = Analyzer::new();
         let one_shard = |cap_bytes| {
             TieredStore::new(
