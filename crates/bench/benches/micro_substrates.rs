@@ -271,6 +271,7 @@ fn representation_and_parallelism_deltas() {
     });
     let store = chora_core::TieredStore::new(
         None,
+        None,
         chora_core::TieredConfig {
             cap_bytes: None,
             ..chora_core::TieredConfig::default()

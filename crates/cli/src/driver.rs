@@ -149,86 +149,69 @@ impl Default for FileOptions {
     }
 }
 
-/// The store a one-shot command runs against: the bare [`DiskStore`] when
-/// only `--cache-dir` is given (the long-standing behavior), or a full
-/// tiered store — memory L1, optional disk L2, remote fleet L3 — when
-/// `--remote-cache` names at least one peer daemon.
-enum CliStore {
-    Disk(DiskStore),
-    Tiered(Box<TieredStore>),
+/// Opens the summary store every command runs against: a [`TieredStore`]
+/// whose disk tier lives under `cache_dir` and whose remote tier is the
+/// `remote_cache` fleet, each when given, sized and aged by `config`.
+pub(crate) fn open_store(
+    cache_dir: Option<&str>,
+    remote_cache: Option<&str>,
+    config: TieredConfig,
+) -> Result<TieredStore, CliError> {
+    let disk = cache_dir
+        .map(|dir| {
+            DiskStore::open(dir)
+                .map_err(|e| CliError(format!("cannot open cache directory `{dir}`: {e}")))
+        })
+        .transpose()?;
+    let remote = remote_cache
+        .map(|spec| {
+            RemoteStore::from_spec(spec).ok_or_else(|| {
+                CliError("--remote-cache expects ADDR[,ADDR...] with at least one address".into())
+            })
+        })
+        .transpose()?;
+    Ok(TieredStore::new(disk, remote, config))
 }
 
-impl CliStore {
-    fn as_dyn(&self) -> &dyn SummaryStore {
-        match self {
-            CliStore::Disk(store) => store,
-            CliStore::Tiered(store) => store.as_ref(),
-        }
-    }
-
-    /// Reports the remote-tier counters on **stderr**, mirroring
-    /// [`report_cache_stats`]: stdout stays byte-identical whether the
-    /// fleet tier is present, absent, cold, or warm.
-    fn report_remote(&self) {
-        let CliStore::Tiered(tiered) = self else {
-            return;
-        };
-        let Some(remote) = tiered.remote() else {
-            return;
-        };
-        let targets = remote.addrs().len();
-        eprintln!(
-            "remote cache: {} hits, {} misses, {} stores, {} errors, {} skipped \
-             ({targets} target{})",
-            remote.hits(),
-            remote.misses(),
-            remote.stores(),
-            remote.errors(),
-            remote.skipped(),
-            if targets == 1 { "" } else { "s" },
-        );
-    }
-}
-
-/// Opens the summary store requested by the options (if any).  `--no-cache`
-/// disables every tier, remote included.
-fn open_store(
+/// The store of a one-shot command: none under `--no-cache` (which
+/// disables every tier, remote included) or when neither `--cache-dir` nor
+/// `--remote-cache` names a tier that outlives the run.
+fn command_store(
     cache_dir: &Option<String>,
     no_cache: bool,
     remote_cache: &Option<String>,
-) -> Result<Option<CliStore>, CliError> {
-    if no_cache {
+) -> Result<Option<TieredStore>, CliError> {
+    if no_cache || (cache_dir.is_none() && remote_cache.is_none()) {
         return Ok(None);
     }
-    let disk = match cache_dir {
-        Some(dir) => Some(
-            DiskStore::open(dir)
-                .map_err(|e| CliError(format!("cannot open cache directory `{dir}`: {e}")))?,
-        ),
-        None => None,
-    };
-    match remote_cache {
-        Some(spec) => {
-            let remote = RemoteStore::from_spec(spec).ok_or_else(|| {
-                CliError("--remote-cache expects ADDR[,ADDR...] with at least one address".into())
-            })?;
-            Ok(Some(CliStore::Tiered(Box::new(TieredStore::with_remote(
-                disk,
-                remote,
-                TieredConfig::default(),
-            )))))
-        }
-        None => Ok(disk.map(CliStore::Disk)),
-    }
+    open_store(
+        cache_dir.as_deref(),
+        remote_cache.as_deref(),
+        TieredConfig::default(),
+    )
+    .map(Some)
 }
 
-/// Runs the analysis, through the store when one is configured.
-fn run_analysis(
-    analyzer: &Analyzer,
-    program: &Program,
-    store: Option<&dyn SummaryStore>,
-) -> AnalysisResult {
-    analyzer.analyze_with_store(program, store)
+/// Reports the remote-tier counters of `stores`, summed, on **stderr**,
+/// mirroring [`report_cache_stats`]: stdout stays byte-identical whether
+/// the fleet tier is present, absent, cold, or warm.
+fn report_remote(stores: &[TieredStore]) {
+    let remotes: Vec<&RemoteStore> = stores.iter().filter_map(TieredStore::remote).collect();
+    let Some(first) = remotes.first() else {
+        return;
+    };
+    let total = |count: fn(&RemoteStore) -> u64| remotes.iter().map(|r| count(r)).sum::<u64>();
+    let targets = first.addrs().len();
+    eprintln!(
+        "remote cache: {} hits, {} misses, {} stores, {} errors, {} skipped \
+         ({targets} target{})",
+        total(RemoteStore::hits),
+        total(RemoteStore::misses),
+        total(RemoteStore::stores),
+        total(RemoteStore::errors),
+        total(RemoteStore::skipped),
+        if targets == 1 { "" } else { "s" },
+    );
 }
 
 /// Reports cache counters on **stderr** — never stdout, so cached and
@@ -305,15 +288,16 @@ fn resolve_size_param(
     }
 }
 
-/// `chora analyze FILE`: full analysis report — per-procedure summaries,
-/// solved bound facts, depth bounds, and assertion verdicts.
-///
-/// With `--cache-dir`, summary-cache counters go to stderr (see
-/// [`analyze_with_stats`] for programmatic access); stdout stays
-/// byte-identical with and without the cache.
-pub fn analyze(opts: &FileOptions) -> Result<(String, i32), CliError> {
+/// Renders one report from a finished analysis: [`render_analysis`] or
+/// [`render_complexity`].
+type Render =
+    fn(&str, &Program, &AnalysisResult, &FileOptions, f64) -> Result<(String, i32), CliError>;
+
+/// The one path of the file commands: trace, analyze through the store,
+/// report on stderr.
+fn file_command(opts: &FileOptions, render: Render) -> Result<(String, i32), CliError> {
     let session = start_trace(&opts.trace_out)?;
-    let (output, exit, stats) = analyze_with_stats(opts)?;
+    let (output, exit, stats) = run_file(opts, render)?;
     write_trace(session, &opts.trace_out, opts.quiet)?;
     if !opts.quiet {
         report_cache_stats(opts.json, stats.as_ref());
@@ -321,30 +305,65 @@ pub fn analyze(opts: &FileOptions) -> Result<(String, i32), CliError> {
     Ok((output, exit))
 }
 
+/// Reads, parses and analyzes the file behind `opts` through the store the
+/// options open, reporting the remote tier's counters on stderr.
+fn run_file(
+    opts: &FileOptions,
+    render: Render,
+) -> Result<(String, i32, Option<CacheStats>), CliError> {
+    let src = read_source(&opts.path)?;
+    let store = command_store(&opts.cache_dir, opts.no_cache, &opts.remote_cache)?;
+    let program = parse_source(&opts.path, &src)?;
+    let dyn_store = store.as_ref().map(|s| s as &dyn SummaryStore);
+    let result = run_program(&opts.path, &program, opts, dyn_store, render)?;
+    if !opts.quiet {
+        report_remote(store.as_slice());
+    }
+    Ok(result)
+}
+
+/// Analyzes `program` through `store` and renders the report; the cache
+/// counters come back when a store was given.
+fn run_program(
+    name: &str,
+    program: &Program,
+    opts: &FileOptions,
+    store: Option<&dyn SummaryStore>,
+    render: Render,
+) -> Result<(String, i32, Option<CacheStats>), CliError> {
+    let started = Instant::now();
+    let result = analyzer_with_jobs(opts.jobs).analyze_with_store(program, store);
+    let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
+    let (output, exit) = render(name, program, &result, opts, elapsed_ms)?;
+    Ok((output, exit, store.is_some().then_some(result.cache)))
+}
+
+/// `chora analyze FILE`: full analysis report — per-procedure summaries,
+/// solved bound facts, depth bounds, and assertion verdicts.
+///
+/// With `--cache-dir`, summary-cache counters go to stderr (see
+/// [`analyze_with_stats`] for programmatic access); stdout stays
+/// byte-identical with and without the cache.
+pub fn analyze(opts: &FileOptions) -> Result<(String, i32), CliError> {
+    file_command(opts, render_analysis)
+}
+
 /// [`analyze`], additionally returning the cache counters (when a cache
 /// directory was configured) instead of printing them.
 pub fn analyze_with_stats(
     opts: &FileOptions,
 ) -> Result<(String, i32, Option<CacheStats>), CliError> {
-    let src = read_source(&opts.path)?;
-    let store = open_store(&opts.cache_dir, opts.no_cache, &opts.remote_cache)?;
-    let result = analyze_source(&opts.path, &src, opts, store.as_ref().map(CliStore::as_dyn));
-    if result.is_ok() && !opts.quiet {
-        if let Some(store) = &store {
-            store.report_remote();
-        }
-    }
-    result
+    run_file(opts, render_analysis)
 }
 
 /// The in-memory core of `chora analyze`: program text in, report out.
 ///
 /// `name` is the display name used for the `"file"` field and error
 /// rendering (a path for the CLI, the request-supplied name for the
-/// server); `store` is any [`SummaryStore`] — the CLI passes a per-run
-/// [`DiskStore`], `chora serve` its resident
-/// [`TieredStore`].  This is the function the
-/// server calls directly, so the daemon never shells out.
+/// server); `store` is any [`SummaryStore`].  The file commands run the
+/// same analysis against the [`TieredStore`] their options open, and
+/// `chora serve` (through [`analyze_program`]) against its resident one
+/// behind a single-flight layer, so the daemon never shells out.
 ///
 /// The analyzer threads its per-component fresh-symbol scope assignment
 /// (a [`chora_core::ScopeResolver`]) through every store operation, so
@@ -369,16 +388,11 @@ pub fn analyze_program(
     opts: &FileOptions,
     store: Option<&dyn SummaryStore>,
 ) -> Result<(String, i32, Option<CacheStats>), CliError> {
-    let started = Instant::now();
-    let result = run_analysis(&analyzer_with_jobs(opts.jobs), program, store);
-    let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-    let stats = store.is_some().then_some(result.cache);
-    let (output, exit) = render_analysis(name, program, &result, opts, elapsed_ms)?;
-    Ok((output, exit, stats))
+    run_program(name, program, opts, store, render_analysis)
 }
 
 /// Renders the `chora analyze` report from a finished [`AnalysisResult`].
-/// Split from [`analyze_program`] so `/v1/batch` can analyze many programs
+/// Split from the analysis so `/v1/batch` can analyze many programs
 /// in one batched driver call and still render each element exactly as a
 /// single-shot request would.
 pub(crate) fn render_analysis(
@@ -514,48 +528,17 @@ pub(crate) fn render_analysis(
 /// `chora complexity FILE`: resource-bound extraction — the Table 1 view of
 /// one procedure.
 pub fn complexity_cmd(opts: &FileOptions) -> Result<(String, i32), CliError> {
-    let session = start_trace(&opts.trace_out)?;
-    let src = read_source(&opts.path)?;
-    let store = open_store(&opts.cache_dir, opts.no_cache, &opts.remote_cache)?;
-    let (output, exit, stats) =
-        complexity_source(&opts.path, &src, opts, store.as_ref().map(CliStore::as_dyn))?;
-    if !opts.quiet {
-        if let Some(store) = &store {
-            store.report_remote();
-        }
-    }
-    write_trace(session, &opts.trace_out, opts.quiet)?;
-    if !opts.quiet {
-        report_cache_stats(opts.json, stats.as_ref());
-    }
-    Ok((output, exit))
+    file_command(opts, render_complexity)
 }
 
-/// The in-memory core of `chora complexity` — see [`analyze_source`] for
-/// the `name`/`store` contract.
-pub fn complexity_source(
-    name: &str,
-    src: &str,
-    opts: &FileOptions,
-    store: Option<&dyn SummaryStore>,
-) -> Result<(String, i32, Option<CacheStats>), CliError> {
-    complexity_program(name, &parse_source(name, src)?, opts, store)
-}
-
-/// [`complexity_source`] on an already-parsed program — see
-/// [`analyze_program`].
+/// The `chora complexity` counterpart of [`analyze_program`].
 pub fn complexity_program(
     name: &str,
     program: &Program,
     opts: &FileOptions,
     store: Option<&dyn SummaryStore>,
 ) -> Result<(String, i32, Option<CacheStats>), CliError> {
-    let started = Instant::now();
-    let result = run_analysis(&analyzer_with_jobs(opts.jobs), program, store);
-    let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-    let stats = store.is_some().then_some(result.cache);
-    let (output, exit) = render_complexity(name, program, &result, opts, elapsed_ms)?;
-    Ok((output, exit, stats))
+    run_program(name, program, opts, store, render_complexity)
 }
 
 /// Renders the `chora complexity` report from a finished
@@ -724,8 +707,12 @@ fn bench_local(opts: &BenchOptions) -> Result<(String, i32), CliError> {
     // Optional directory of .imp programs: parse + analyze each, with
     // per-phase wall-clock timings — the on-disk counterpart of the
     // built-in suites.  With --cache-dir every program is analyzed twice
-    // (cold, then warm) so the cache win is directly visible.
-    let store = open_store(&opts.cache_dir, opts.no_cache, &opts.remote_cache)?;
+    // (cold, then warm) so the cache win is directly visible.  Each warm
+    // run opens a fresh store, as a second invocation would: it reads what
+    // outlives a run (disk or fleet hits), never the cold run's memory.
+    // `stores[0]` is the cold runs' store; the warm ones follow.
+    let open = || command_store(&opts.cache_dir, opts.no_cache, &opts.remote_cache);
+    let mut stores: Vec<TieredStore> = open()?.into_iter().collect();
     let mut program_rows: Vec<ProgramRow> = Vec::new();
     if let Some(dir) = &opts.programs_dir {
         for (name, path) in opts.programs_in(dir)? {
@@ -733,16 +720,19 @@ fn bench_local(opts: &BenchOptions) -> Result<(String, i32), CliError> {
             let program = read_and_parse(&path)?;
             let parse_ms = parse_started.elapsed().as_secs_f64() * 1e3;
             let started = Instant::now();
-            let result = run_analysis(&analyzer, &program, store.as_ref().map(CliStore::as_dyn));
+            let cold_store = stores.first().map(|s| s as &dyn SummaryStore);
+            let result = analyzer.analyze_with_store(&program, cold_store);
             let analysis_ms = started.elapsed().as_secs_f64() * 1e3;
-            let warm = store.as_ref().map(|s| {
-                let warm_started = Instant::now();
-                let warm_result = run_analysis(&analyzer, &program, Some(s.as_dyn()));
-                (
-                    warm_started.elapsed().as_secs_f64() * 1e3,
-                    warm_result.cache,
-                )
-            });
+            let warm = match open()? {
+                Some(warm_store) => {
+                    let warm_started = Instant::now();
+                    let warm_result = analyzer.analyze_with_store(&program, Some(&warm_store));
+                    let warm_ms = warm_started.elapsed().as_secs_f64() * 1e3;
+                    stores.push(warm_store);
+                    Some((warm_ms, warm_result.cache))
+                }
+                None => None,
+            };
             program_rows.push(ProgramRow {
                 name,
                 procedures: result.summaries.len(),
@@ -755,9 +745,7 @@ fn bench_local(opts: &BenchOptions) -> Result<(String, i32), CliError> {
         }
     }
 
-    if let Some(store) = &store {
-        store.report_remote();
-    }
+    report_remote(&stores);
 
     if rows.is_empty() && assertion_rows.is_empty() && program_rows.is_empty() {
         return Err(CliError(format!(

@@ -48,8 +48,7 @@ pub mod serve;
 
 pub use driver::{
     analyze, analyze_program, analyze_source, analyze_with_stats, bench, complexity_cmd,
-    complexity_program, complexity_source, print_cmd, read_source, BenchOptions, CliError,
-    FileOptions,
+    complexity_program, print_cmd, read_source, BenchOptions, CliError, FileOptions,
 };
 pub use lexer::ParseError;
 pub use parser::parse_program;

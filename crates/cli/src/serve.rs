@@ -20,13 +20,13 @@
 //! elements are byte-identical to the matching single-shot responses.
 
 use crate::driver::{
-    analyze_program, analyzer_with_jobs, complexity_program, parse_source, read_source,
+    analyze_program, analyzer_with_jobs, complexity_program, open_store, parse_source, read_source,
     render_analysis, BenchOptions, CliError, FileOptions,
 };
 use crate::json::Json;
 use crate::progcache::{response_key, source_key};
 use chora_core::{
-    entry_key, DiskStore, FlightCounters, ProcedureSummary, RemoteStore, ScopeResolver, ShardedLru,
+    entry_key, FlightCounters, ProcedureSummary, RemoteStore, ScopeResolver, ShardedLru,
     SingleFlight, SummaryStore, TierCounters, TieredConfig, TieredStore,
 };
 use chora_ir::{Fingerprint, Program};
@@ -271,13 +271,6 @@ pub struct AnalysisService {
 impl AnalysisService {
     /// Opens the tiered store described by the options.
     pub fn new(opts: &ServeOptions) -> Result<AnalysisService, CliError> {
-        let disk = match &opts.cache_dir {
-            Some(dir) => Some(
-                DiskStore::open(dir)
-                    .map_err(|e| CliError(format!("cannot open cache directory `{dir}`: {e}")))?,
-            ),
-            None => None,
-        };
         let config = TieredConfig {
             // Flag absent → the default cap; an explicit 0 → unbounded.
             cap_bytes: match opts.cache_cap_bytes {
@@ -288,10 +281,15 @@ impl AnalysisService {
             max_age: opts.cache_max_age,
             ..TieredConfig::default()
         };
+        let tiered = open_store(
+            opts.cache_dir.as_deref(),
+            opts.remote_cache.as_deref(),
+            config,
+        )?;
         // GC cadence: often enough that expiry is visible at half the age
         // granularity, but never a busy loop; byte pressure alone is
         // handled lazily by LRU in memory and hourly on disk.
-        let maintenance = match (opts.cache_max_age, disk.is_some()) {
+        let maintenance = match (opts.cache_max_age, opts.cache_dir.is_some()) {
             (Some(age), _) => {
                 Some((age / 2).clamp(Duration::from_millis(250), Duration::from_secs(60)))
             }
@@ -302,19 +300,6 @@ impl AnalysisService {
         // started daemon's /v1/metrics already lists every family.
         chora_logic::stats::register_metrics();
         chora_numeric::stats::register_metrics();
-        let remote = opts
-            .remote_cache
-            .as_ref()
-            .and_then(|spec| RemoteStore::from_spec(spec));
-        if opts.remote_cache.is_some() && remote.is_none() {
-            return Err(CliError(
-                "--remote-cache expects ADDR[,ADDR...] with at least one address".to_string(),
-            ));
-        }
-        let tiered = match remote {
-            Some(remote) => TieredStore::with_remote(disk, remote, config),
-            None => TieredStore::new(disk, config),
-        };
         Ok(AnalysisService {
             store: ServiceStore::new(tiered),
             parsed: ShardedLru::new(REQUEST_CACHE_SHARDS, Some(PARSE_CACHE_BYTES), None),
@@ -328,12 +313,6 @@ impl AnalysisService {
     /// counters).
     pub fn store(&self) -> &TieredStore {
         self.store.tiered()
-    }
-
-    /// The full service store, including the single-flight layer and the
-    /// `/v1/summaries` serving counters.
-    pub fn service_store(&self) -> &ServiceStore {
-        &self.store
     }
 
     /// The parsed-program cache (tests and `bench --server` read its

@@ -5,7 +5,7 @@
 //! to an uncached analysis.
 
 use chora_cli::{analyze_source, FileOptions};
-use chora_core::{DiskStore, SummaryStore, TieredConfig, TieredStore};
+use chora_core::{SummaryStore, TieredConfig, TieredStore};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -78,9 +78,22 @@ fn two_disk_store_handles_analyze_overlapping_programs_concurrently() {
 
     // Two handles over the same root, opened independently — the same
     // situation as two `chora` processes sharing one --cache-dir.  Their
-    // variant ranges overlap on 3..7, so both race on the same keys.
-    let store_a = DiskStore::open(&root).expect("open a");
-    let store_b = DiskStore::open(&root).expect("open b");
+    // variant ranges overlap on 3..7, so both race on the same keys.  A
+    // one-byte memory tier keeps no entry, so every load reads the shared
+    // disk, as each analysis in a process of its own would.
+    let open = || {
+        TieredStore::open(
+            &root,
+            TieredConfig {
+                cap_bytes: Some(1),
+                max_age: None,
+                shards: 1,
+            },
+        )
+        .expect("open")
+    };
+    let store_a = open();
+    let store_b = open();
     std::thread::scope(|scope| {
         let refs = &references;
         let a = scope.spawn(|| hammer(&store_a, 0..7, 3, refs));
@@ -88,12 +101,20 @@ fn two_disk_store_handles_analyze_overlapping_programs_concurrently() {
         a.join().expect("writer A must not panic");
         b.join().expect("writer B must not panic");
     });
-    assert_eq!(store_a.evictions(), 0, "no torn entries on handle A");
-    assert_eq!(store_b.evictions(), 0, "no torn entries on handle B");
+    assert_eq!(
+        store_a.eviction_totals().0,
+        0,
+        "no torn entries on handle A"
+    );
+    assert_eq!(
+        store_b.eviction_totals().0,
+        0,
+        "no torn entries on handle B"
+    );
 
     // A fresh handle sees only whole entries: a full warm pass is 100%
     // hits with zero corruption evictions.
-    let fresh = DiskStore::open(&root).expect("open fresh");
+    let fresh = open();
     for (v, expected) in references.iter().enumerate() {
         let (out, _, stats) = analyze_source(&format!("v{v}"), &program(v), &opts(), Some(&fresh))
             .expect("warm analysis");

@@ -1265,6 +1265,7 @@ mod tests {
         let one_shard = |cap_bytes| {
             TieredStore::new(
                 None,
+                None,
                 TieredConfig {
                     cap_bytes,
                     max_age: None,

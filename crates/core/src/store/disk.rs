@@ -1,9 +1,9 @@
-//! The persistent on-disk backend: one JSON file per component key under a
+//! The persistent disk tier: one JSON file per component key under a
 //! versioned cache directory.
 
-use super::{load_histogram, SummaryStore};
+use super::load_histogram;
 use crate::analysis::ProcedureSummary;
-use crate::cache::{decode_entry, encode_entry, entry_key, ScopeResolver, CACHE_VERSION};
+use crate::cache::{decode_entry, entry_key, ScopeResolver, CACHE_VERSION};
 use chora_ir::Fingerprint;
 use chora_telemetry::metrics::Histogram;
 use std::path::{Path, PathBuf};
@@ -17,15 +17,16 @@ use std::time::{Duration, Instant, SystemTime};
 /// file into place.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// A persistent on-disk store: one JSON file per component key under
+/// The persistent disk tier of a [`super::TieredStore`] (never a store on
+/// its own): one JSON file per component key under
 /// `<root>/v<CACHE_VERSION>/`.
 ///
 /// The version directory means a future encoding bump simply starts a fresh
 /// namespace; stray files from other versions are never read.  Within the
 /// directory, any file that fails to decode (truncated write, manual edit,
-/// hash collision on `key`) is deleted and counted as an eviction.  As the
-/// disk tier of a [`super::TieredStore`] it also carries the stack's age
-/// limit: an expired entry is removed on sight instead of served.
+/// hash collision on `key`) is deleted and counted as an eviction.  The
+/// tier carries the stack's age limit: an expired entry is removed on
+/// sight instead of served.
 ///
 /// The layout is safe for any number of concurrent readers and writers,
 /// across threads and processes: writes land under a unique temp name and
@@ -110,13 +111,13 @@ impl DiskStore {
 
     /// How many entries this handle has discarded as *invalid* (corrupted,
     /// truncated, version-mismatched, or unrescopable).
-    pub fn evictions(&self) -> u64 {
+    pub(super) fn evictions(&self) -> u64 {
         self.evicted.load(Ordering::Relaxed)
     }
 
     /// How many entries this handle has removed for *space or age* reasons
     /// (expired entries a load removed, and [`DiskStore::gc`] passes).
-    pub fn gc_evictions(&self) -> u64 {
+    pub(super) fn gc_evictions(&self) -> u64 {
         self.gc_removed.load(Ordering::Relaxed)
     }
 
@@ -193,13 +194,13 @@ impl DiskStore {
     /// would need the consuming run's scope assignment.  This is what a
     /// summary server hands to `GET /v1/summaries/{key}`; the analyzing
     /// peer performs the full decode-and-rescope on its side.
-    pub fn load_text(&self, key: &Fingerprint) -> Option<String> {
+    pub(super) fn load_text(&self, key: &Fingerprint) -> Option<String> {
         let text = std::fs::read_to_string(self.entry_path(key)).ok()?;
         (entry_key(&text) == Some(*key)).then_some(text)
     }
 
     /// Writes an already-encoded entry (temp file + rename, best-effort).
-    pub fn store_encoded(&self, key: &Fingerprint, encoded: &str) {
+    pub(super) fn store_encoded(&self, key: &Fingerprint, encoded: &str) {
         let path = self.entry_path(key);
         let tmp = self.dir.join(format!(
             "{}.tmp.{}.{}",
@@ -236,7 +237,7 @@ impl DiskStore {
     /// Total bytes this store has deleted — corruption evictions, explicit
     /// removals, and GC passes combined (the operational "how much has the
     /// cache churned" number surfaced by `/v1/stats`).
-    pub fn removed_bytes(&self) -> u64 {
+    pub(super) fn removed_bytes(&self) -> u64 {
         self.removed_bytes.load(Ordering::Relaxed)
     }
 
@@ -318,22 +319,5 @@ impl DiskStore {
         }
         self.gc_removed.fetch_add(removed, Ordering::Relaxed);
         removed
-    }
-}
-
-impl SummaryStore for DiskStore {
-    fn load(&self, key: &Fingerprint, scopes: &dyn ScopeResolver) -> Option<Vec<ProcedureSummary>> {
-        self.load_validated(key, scopes)
-            .map(|(_, summaries, _)| summaries)
-    }
-
-    fn store(&self, key: &Fingerprint, summaries: &[ProcedureSummary], scopes: &dyn ScopeResolver) {
-        if let Some(encoded) = encode_entry(key, summaries, scopes) {
-            self.store_encoded(key, &encoded);
-        }
-    }
-
-    fn eviction_totals(&self) -> (u64, u64) {
-        (self.evictions(), self.gc_evictions())
     }
 }

@@ -31,7 +31,7 @@ struct Shard<V> {
 ///   rarely contend.
 /// * An insert that pushes a shard past its cap evicts the shard's
 ///   least-recently-used entries; an entry bigger than a whole shard is
-///   not kept at all.
+///   not kept at all, and counts as an LRU eviction of its own bytes.
 /// * Entries older than `max_age` are dropped on sight.  Age is an
 ///   entry's *true* age: an insert may backdate it
 ///   ([`ShardedLru::put_aged`]), so copying an entry in from a farther
@@ -139,9 +139,13 @@ impl<V> ShardedLru<V> {
     }
 
     /// Inserts `value` at byte cost `cost`, already `age` old, then evicts
-    /// the shard's least-recently-used entries until it fits its cap.
+    /// the shard's least-recently-used entries until it fits its cap.  A
+    /// value bigger than a whole shard is refused, and counted as an LRU
+    /// eviction of `cost` bytes.
     pub fn put_aged(&self, key: &Fingerprint, value: V, cost: u64, age: Option<Duration>) {
         if self.shard_cap.is_some_and(|cap| cost > cap) {
+            self.lru_evictions.fetch_add(1, Ordering::Relaxed);
+            self.evicted_bytes.fetch_add(cost, Ordering::Relaxed);
             return;
         }
         let inserted = age
@@ -215,7 +219,8 @@ impl<V> ShardedLru<V> {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Entries evicted by LRU pressure against the byte cap.
+    /// Entries evicted by LRU pressure against the byte cap, and entries
+    /// refused for being bigger than a whole shard.
     pub fn lru_evictions(&self) -> u64 {
         self.lru_evictions.load(Ordering::Relaxed)
     }
@@ -287,6 +292,16 @@ mod tests {
         // Oversized entries are refused outright.
         cache.put(&key(3), 3, 1 << 20);
         assert_eq!(cache.get(&key(3)), None);
+    }
+
+    #[test]
+    fn an_entry_bigger_than_a_shard_counts_as_an_lru_eviction() {
+        // 8 shards of a 4 KiB cap hold 512 bytes each.
+        let cache: ShardedLru<u32> = ShardedLru::new(8, Some(4 << 10), None);
+        cache.put(&Fingerprint(1), 1, 600);
+        assert_eq!((cache.lru_evictions(), cache.evicted_bytes()), (1, 600));
+        assert_eq!(cache.usage(), (0, 0), "the refused entry is not kept");
+        assert_eq!(cache.get(&Fingerprint(1)), None);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! batch's [`CacheStats`].  Every other counter of the stack is in one
 //! snapshot, [`TieredStore::counters`].
 //!
-//! [`TieredStore`] is the store the daemon and the CLI use: an L1 memory
+//! [`TieredStore`] is the store every command runs against: an L1 memory
 //! tier over an optional L2 disk tier over an optional L3 remote tier.
 //! It probes them in that order, promotes hits toward the front (with the
 //! entry's true age), and writes stores through to every tier.
@@ -23,7 +23,8 @@
 //!   entries.  A `TieredStore` with no other tier is the plain in-memory
 //!   store.
 //! * The disk tier is a [`DiskStore`] (one file per key under a versioned
-//!   cache directory) with the stack's age limit.
+//!   cache directory) with the stack's age limit; like [`RemoteStore`], it
+//!   is only ever a tier.
 //! * [`RemoteStore`] speaks `GET`/`PUT /v1/summaries/{keyhex}` against one
 //!   or more `chora serve` daemons (chosen per key by rendezvous hashing),
 //!   with a per-target circuit breaker so a dead peer degrades to the
@@ -31,7 +32,7 @@
 //!
 //! [`SingleFlight`] wraps any [`SummaryStore`] to coalesce concurrent
 //! misses on the same key, so a thundering herd on a cold cone computes it
-//! once.  A bare [`DiskStore`] also serves as a store on its own.
+//! once.
 
 use crate::analysis::ProcedureSummary;
 use crate::cache::ScopeResolver;
@@ -141,6 +142,7 @@ pub(crate) mod testutil {
     pub fn memory_store() -> TieredStore {
         TieredStore::new(
             None,
+            None,
             TieredConfig {
                 cap_bytes: None,
                 ..TieredConfig::default()
@@ -221,16 +223,23 @@ mod tests {
         assert!(store.load(&key, &OneScope).is_none());
         store.store(&key, &[fresh_summary()], &OneScope);
         assert!(store.load(&key, &OneScope).is_some());
-        // Same through a disk store, where the entry file must also be gone.
+        // Same through the disk tier, where the entry file must also be
+        // gone: a second store over the directory reads the disk.
         let root = temp_dir("rescope-evict");
-        let store = DiskStore::open(&root).expect("open");
         let key = Fingerprint(0xc0ffee);
-        store.store(&key, &[fresh_summary()], &OneScope);
-        let path = store.dir().join(format!("{}.json", key.to_hex()));
+        let writer = TieredStore::open(&root, TieredConfig::default()).expect("open");
+        writer.store(&key, &[fresh_summary()], &OneScope);
+        let path = writer
+            .disk()
+            .expect("disk tier")
+            .dir()
+            .join(format!("{}.json", key.to_hex()));
         assert!(path.exists());
+        let store = TieredStore::open(&root, TieredConfig::default()).expect("open");
         assert!(store.load(&key, &NullScopes).is_none());
-        assert_eq!(store.evictions(), 1);
-        assert_eq!(store.gc_evictions(), 0, "rescope failure is not GC");
+        let disk = store.disk().expect("disk tier");
+        assert_eq!(disk.evictions(), 1);
+        assert_eq!(disk.gc_evictions(), 0, "rescope failure is not GC");
         assert!(!path.exists(), "unrescopable entry must be deleted");
         let _ = std::fs::remove_dir_all(&root);
     }
@@ -256,23 +265,32 @@ mod tests {
     #[test]
     fn disk_store_round_trips_and_evicts_corruption() {
         let root = temp_dir("roundtrip");
-        let store = DiskStore::open(&root).expect("open");
+        // Every load after a store goes through a fresh store over the
+        // directory, so it reads the disk tier rather than a memory copy.
+        let open = || TieredStore::open(&root, TieredConfig::default()).expect("open");
         let key = Fingerprint(9);
-        assert!(store.load(&key, &NullScopes).is_none());
-        store.store(&key, &[summary("f")], &NullScopes);
-        assert_eq!(store.load(&key, &NullScopes).expect("hit")[0].name, "f");
+        let writer = open();
+        assert!(writer.load(&key, &NullScopes).is_none());
+        writer.store(&key, &[summary("f")], &NullScopes);
+        assert_eq!(open().load(&key, &NullScopes).expect("hit")[0].name, "f");
 
         // Corrupt the entry on disk: next load evicts it instead of failing.
-        let path = store.dir().join(format!("{}.json", key.to_hex()));
+        let path = writer
+            .disk()
+            .expect("disk tier")
+            .dir()
+            .join(format!("{}.json", key.to_hex()));
         std::fs::write(&path, "{ definitely not a cache entry").expect("corrupt");
+        let store = open();
         assert!(store.load(&key, &NullScopes).is_none());
-        assert_eq!(store.evictions(), 1);
-        assert_eq!(store.gc_evictions(), 0, "corruption is not GC");
+        let disk = store.disk().expect("disk tier");
+        assert_eq!(disk.evictions(), 1);
+        assert_eq!(disk.gc_evictions(), 0, "corruption is not GC");
         assert_eq!(store.eviction_totals(), (1, 0));
         assert!(!path.exists(), "corrupt entry must be deleted");
         // And the slot is usable again.
         store.store(&key, &[summary("f")], &NullScopes);
-        assert!(store.load(&key, &NullScopes).is_some());
+        assert!(open().load(&key, &NullScopes).is_some());
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -312,9 +330,11 @@ mod tests {
     #[test]
     fn disk_gc_expires_by_age_and_caps_by_bytes() {
         let root = temp_dir("gc");
-        let store = DiskStore::open(&root).expect("open");
+        let open = || TieredStore::open(&root, TieredConfig::default()).expect("open");
+        let writer = open();
+        let store = writer.disk().expect("disk tier");
         for i in 0..4u128 {
-            store.store(&Fingerprint(i), &[summary(&format!("p{i}"))], &NullScopes);
+            writer.store(&Fingerprint(i), &[summary(&format!("p{i}"))], &NullScopes);
         }
         // Nothing is older than an hour: the age pass removes nothing.
         assert_eq!(store.gc(Some(Duration::from_secs(3600)), None), 0);
@@ -325,7 +345,7 @@ mod tests {
         let removed = store.gc(Some(Duration::ZERO), None);
         assert_eq!(removed, 4);
         assert_eq!(store.gc_evictions(), 4);
-        assert!(store.load(&Fingerprint(0), &NullScopes).is_none());
+        assert!(open().load(&Fingerprint(0), &NullScopes).is_none());
         assert_eq!(
             store.evictions(),
             0,
@@ -334,7 +354,7 @@ mod tests {
 
         // Byte cap: refill, then shrink to a cap below the total.
         for i in 0..4u128 {
-            store.store(&Fingerprint(i), &[summary(&format!("p{i}"))], &NullScopes);
+            writer.store(&Fingerprint(i), &[summary(&format!("p{i}"))], &NullScopes);
         }
         let total = store.disk_bytes();
         assert!(total > 0);

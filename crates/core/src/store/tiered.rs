@@ -53,7 +53,8 @@ pub struct TierCounters {
     pub stores: u64,
     /// Times the disk tier was consulted at all (memory misses).
     pub disk_probes: u64,
-    /// Memory-tier entries evicted by LRU pressure against the byte cap.
+    /// Memory-tier entries evicted by LRU pressure against the byte cap,
+    /// and entries refused for being bigger than a whole shard.
     pub lru_evictions: u64,
     /// Entries evicted (memory or disk) because they outlived `max_age`.
     pub age_evictions: u64,
@@ -97,21 +98,9 @@ pub struct TieredStore {
 }
 
 impl TieredStore {
-    /// A tiered store over an already-open disk tier (`None` = memory only).
-    pub fn new(disk: Option<DiskStore>, config: TieredConfig) -> TieredStore {
-        TieredStore::build(disk, None, config)
-    }
-
-    /// A tiered store with a remote fleet cache behind memory and disk.
-    pub fn with_remote(
-        disk: Option<DiskStore>,
-        remote: RemoteStore,
-        config: TieredConfig,
-    ) -> TieredStore {
-        TieredStore::build(disk, Some(remote), config)
-    }
-
-    fn build(
+    /// A tiered store over an already-open disk tier and a remote fleet
+    /// cache, each optional (neither = a plain in-memory store).
+    pub fn new(
         disk: Option<DiskStore>,
         remote: Option<RemoteStore>,
         config: TieredConfig,
@@ -132,7 +121,7 @@ impl TieredStore {
 
     /// Convenience: a tiered store whose disk tier lives under `root`.
     pub fn open(root: impl AsRef<Path>, config: TieredConfig) -> std::io::Result<TieredStore> {
-        Ok(TieredStore::new(Some(DiskStore::open(root)?), config))
+        Ok(TieredStore::new(Some(DiskStore::open(root)?), None, config))
     }
 
     /// The disk tier's backing store, when one is configured.
@@ -303,7 +292,7 @@ mod tests {
         let root = temp_dir("tiered-promote");
         let key = Fingerprint(12);
         // A different handle (think: another process) populated the disk.
-        DiskStore::open(&root)
+        TieredStore::open(&root, TieredConfig::default())
             .expect("open")
             .store(&key, &[summary("g")], &NullScopes);
         let store = TieredStore::open(&root, TieredConfig::default()).expect("open");
@@ -325,6 +314,7 @@ mod tests {
         // for roughly two entries.
         let store = TieredStore::new(
             None,
+            None,
             TieredConfig {
                 cap_bytes: None,
                 max_age: None,
@@ -334,6 +324,7 @@ mod tests {
         store.store(&Fingerprint(1), &[summary("a")], &NullScopes);
         let entry_bytes = store.counters().mem_bytes;
         let store = TieredStore::new(
+            None,
             None,
             TieredConfig {
                 cap_bytes: Some(entry_bytes * 2 + entry_bytes / 2),
@@ -370,7 +361,7 @@ mod tests {
     fn promotion_preserves_an_entrys_true_age() {
         let root = temp_dir("tiered-backdate");
         let key = Fingerprint(31);
-        DiskStore::open(&root)
+        TieredStore::open(&root, TieredConfig::default())
             .expect("open")
             .store(&key, &[summary("f")], &NullScopes);
         // Entry is ~35ms old by the time the tiered handle promotes it.
@@ -458,7 +449,7 @@ mod tests {
         let text = store.load_local_text(&key).expect("stored entry");
         assert_eq!(crate::cache::entry_key(&text), Some(key));
         // A second store adopts the raw entry without decoding it.
-        let other = TieredStore::new(None, TieredConfig::default());
+        let other = TieredStore::new(None, None, TieredConfig::default());
         other.store_local_text(&key, &text);
         assert_eq!(other.load(&key, &NullScopes).expect("adopted")[0].name, "f");
         // Adoption is not an analysis-facing store: the counter that

@@ -34,6 +34,7 @@ pub mod fingerprint;
 mod linear;
 mod merge;
 mod polynomial;
+mod scc;
 mod symbol;
 mod term;
 
@@ -41,6 +42,7 @@ pub use exppoly::ExpPoly;
 pub use fingerprint::{Fingerprint, FingerprintBuilder};
 pub use linear::LinearExpr;
 pub use polynomial::{Monomial, Polynomial};
+pub use scc::strongly_connected_components;
 pub use symbol::{
     FreshSource, Symbol, SymbolKind, MAX_FRESH_SCOPE, MAX_FRESH_SERIAL, MAX_SYMBOL_PAYLOAD,
 };

@@ -3,6 +3,7 @@
 //! the call graph ... and topologically sort the collapsed graph").
 
 use crate::ast::Program;
+use chora_expr::strongly_connected_components;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The call graph of a program.
@@ -84,7 +85,7 @@ impl CallGraph {
                 (i, callees)
             })
             .collect();
-        let sccs = chora_recurrence_scc(&nodes, &deps);
+        let sccs = strongly_connected_components(&nodes, &deps);
         sccs.into_iter()
             .map(|scc| {
                 let members: Vec<String> = scc.iter().map(|&i| names[i].clone()).collect();
@@ -140,72 +141,6 @@ impl CallGraph {
         }
         levels
     }
-}
-
-// A small local SCC (Tarjan) so this crate does not depend on the recurrence
-// crate; identical in spirit to the solver's helper.
-fn chora_recurrence_scc(
-    nodes: &[usize],
-    deps: &BTreeMap<usize, BTreeSet<usize>>,
-) -> Vec<Vec<usize>> {
-    struct State<'a> {
-        deps: &'a BTreeMap<usize, BTreeSet<usize>>,
-        index: BTreeMap<usize, usize>,
-        lowlink: BTreeMap<usize, usize>,
-        on_stack: BTreeSet<usize>,
-        stack: Vec<usize>,
-        counter: usize,
-        output: Vec<Vec<usize>>,
-    }
-    fn visit(v: usize, st: &mut State<'_>) {
-        st.index.insert(v, st.counter);
-        st.lowlink.insert(v, st.counter);
-        st.counter += 1;
-        st.stack.push(v);
-        st.on_stack.insert(v);
-        let successors: Vec<usize> = st
-            .deps
-            .get(&v)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
-        for w in successors {
-            if !st.index.contains_key(&w) {
-                visit(w, st);
-                let low = st.lowlink[&v].min(st.lowlink[&w]);
-                st.lowlink.insert(v, low);
-            } else if st.on_stack.contains(&w) {
-                let low = st.lowlink[&v].min(st.index[&w]);
-                st.lowlink.insert(v, low);
-            }
-        }
-        if st.lowlink[&v] == st.index[&v] {
-            let mut comp = Vec::new();
-            while let Some(w) = st.stack.pop() {
-                st.on_stack.remove(&w);
-                comp.push(w);
-                if w == v {
-                    break;
-                }
-            }
-            comp.sort_unstable();
-            st.output.push(comp);
-        }
-    }
-    let mut st = State {
-        deps,
-        index: BTreeMap::new(),
-        lowlink: BTreeMap::new(),
-        on_stack: BTreeSet::new(),
-        stack: Vec::new(),
-        counter: 0,
-        output: Vec::new(),
-    };
-    for &v in nodes {
-        if !st.index.contains_key(&v) {
-            visit(v, &mut st);
-        }
-    }
-    st.output
 }
 
 #[cfg(test)]

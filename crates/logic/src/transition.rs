@@ -210,11 +210,6 @@ impl TransitionFormula {
         }
     }
 
-    /// Conjoins a single atom onto every disjunct.
-    pub fn conjoin_atom(&self, a: &Atom) -> TransitionFormula {
-        self.conjoin(&Polyhedron::from_atoms(vec![a.clone()]))
-    }
-
     /// Relational composition `self ; other` over the given program
     /// variables: `other`'s pre-state is identified with `self`'s post-state
     /// and the intermediate state is projected away.  Symbols not in `vars`

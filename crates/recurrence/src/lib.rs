@@ -27,7 +27,5 @@
 mod solver;
 mod symbolic;
 
-pub use solver::{
-    strongly_connected_components, RecEquation, RecurrenceSystem, SolveError, SolvedBound,
-};
+pub use solver::{RecEquation, RecurrenceSystem, SolveError, SolvedBound};
 pub use symbolic::{height_symbol, SymbolicInitialSolution};

@@ -104,14 +104,17 @@ mod tests {
         let pool = ThreadPool::new(1);
         pool.execute(|| panic!("job panic"));
         let d = Arc::clone(&done);
+        let (ran, signal) = mpsc::channel();
         pool.execute(move || {
             d.fetch_add(1, Ordering::SeqCst);
+            let _ = ran.send(());
         });
-        // Give the single worker time to process both, then drain.
-        let panics = {
-            std::thread::sleep(std::time::Duration::from_millis(50));
-            pool.panics()
-        };
+        // The single worker runs the jobs in order, so once the second has
+        // signalled, the first one's panic has been counted.
+        signal
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the job queued after a panic runs");
+        let panics = pool.panics();
         drop(pool);
         assert_eq!(done.load(Ordering::SeqCst), 1);
         assert_eq!(panics, 1);

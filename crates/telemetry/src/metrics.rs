@@ -68,12 +68,6 @@ impl Gauge {
         self.value.store(v, Ordering::Relaxed);
     }
 
-    /// Raises the value to `v` if it is larger (high-water marks).
-    #[inline]
-    pub fn record_max(&self, v: u64) {
-        self.value.fetch_max(v, Ordering::Relaxed);
-    }
-
     /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
