@@ -25,11 +25,12 @@ use crate::summarize::{Summarizer, Visit};
 use chora_expr::{ExpPoly, FreshSource, Polynomial, Symbol, Term};
 use chora_ir::{
     fingerprint::level_keys, CallGraph, Component, Cond, Fingerprint, FingerprintBuilder,
-    Procedure, Program,
+    Procedure, Program, Stmt,
 };
 use chora_logic::{Atom, EmptinessMemo, Polyhedron, TransitionFormula};
 use chora_telemetry::trace;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::ControlFlow;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -676,30 +677,51 @@ fn summarize_component(
 
 /// Checks every assertion of `proc` against the formula reaching it, with
 /// the finished summaries of its callees in `summarizer`.
+///
+/// The forward walk runs only as far as the last `assert`: a body without
+/// one is not walked at all, and the walk stops right after the last one,
+/// since nothing after it is checked.
 fn check_asserts(
     summarizer: &Summarizer<'_>,
     proc: &Procedure,
     fresh: &FreshSource,
 ) -> Vec<AssertionResult> {
+    let mut remaining = 0usize;
+    proc.body.visit(&mut |s| {
+        if let Stmt::Assert(..) = s {
+            remaining += 1;
+        }
+    });
+    if remaining == 0 {
+        return Vec::new();
+    }
     let vars = summarizer.proc_vars(proc);
     let mut asserts = Vec::new();
     let prefix = TransitionFormula::identity(&vars);
-    summarizer.walk(
+    let flow = summarizer.walk(
         &proc.body,
         &vars,
         &BTreeMap::new(),
         prefix,
         fresh,
         &mut |visit, reaching| {
-            if let Visit::Assert(cond, label) = visit {
-                asserts.push(AssertionResult {
-                    procedure: proc.name.clone(),
-                    label: label.to_string(),
-                    verified: prove(reaching, cond, &vars, fresh),
-                });
+            let Visit::Assert(cond, label) = visit else {
+                return ControlFlow::Continue(());
+            };
+            asserts.push(AssertionResult {
+                procedure: proc.name.clone(),
+                label: label.to_string(),
+                verified: prove(reaching, cond, &vars, fresh),
+            });
+            remaining -= 1;
+            if remaining == 0 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
             }
         },
     );
+    debug_assert!(flow.is_break(), "the walk must reach every assert");
     asserts
 }
 

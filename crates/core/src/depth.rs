@@ -12,15 +12,17 @@
 //! division-by-a-constant (logarithmic depth).  The relation is collected
 //! by a visitor of the summarizer's forward walk
 //! ([`Summarizer::walk`](crate::summarize::Summarizer::walk)), which binds
-//! the formals of each call to an SCC member.
+//! the formals of each call to an SCC member and stops the walk after the
+//! last such call.
 
 use crate::lower::lower_expr;
 use crate::summarize::{Summarizer, Visit};
 use chora_expr::{FreshSource, Polynomial, Symbol, Term};
-use chora_ir::Procedure;
+use chora_ir::{Procedure, Stmt};
 use chora_logic::{Atom, Polyhedron, TransitionFormula};
 use chora_numeric::BigRational;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::ControlFlow;
 
 /// An upper bound on the recursion depth `H` of a procedure, as a function of
 /// its parameters and the globals (§4.2's `ζ_P`).
@@ -125,7 +127,8 @@ pub fn depth_bound(
 /// state (pre) and the callee's parameters at that call (post, under the
 /// callee's parameter names).  The forward walk steps over recursive calls
 /// by havocking globals and their results, mirroring the "skip" edges of
-/// Alg. 4.
+/// Alg. 4, and stops right after the last such call: nothing after it can
+/// add a descent.
 pub fn descent_relation(
     summarizer: &Summarizer<'_>,
     proc: &Procedure,
@@ -138,9 +141,24 @@ pub fn descent_relation(
         .iter()
         .map(|m| (m.clone(), TransitionFormula::top()))
         .collect();
+    // The SCC member a call binds, if any.
+    let member = |callee: &str| {
+        program
+            .procedure(callee)
+            .filter(|_| skip.contains_key(callee))
+    };
+    let mut remaining = 0usize;
+    proc.body.visit(&mut |s| {
+        if let Stmt::Call { callee, .. } = s {
+            remaining += member(callee).is_some() as usize;
+        }
+    });
+    if remaining == 0 {
+        return TransitionFormula::bottom();
+    }
     let mut reached = TransitionFormula::bottom();
     let prefix = TransitionFormula::identity(&vars);
-    summarizer.walk(
+    let flow = summarizer.walk(
         &proc.body,
         &vars,
         &skip,
@@ -148,13 +166,10 @@ pub fn descent_relation(
         fresh,
         &mut |visit, prefix| {
             let Visit::Call(callee, args) = visit else {
-                return;
+                return ControlFlow::Continue(());
             };
-            let Some(callee_proc) = program
-                .procedure(callee)
-                .filter(|_| skip.contains_key(callee))
-            else {
-                return;
+            let Some(callee_proc) = member(callee) else {
+                return ControlFlow::Continue(());
             };
             // Bind the callee's formals (as post-state) to the actuals, which
             // are over the pre-state at the call site.
@@ -169,8 +184,15 @@ pub fn descent_relation(
             let binding = TransitionFormula::from_polyhedron(Polyhedron::from_atoms(atoms))
                 .eliminate(&to_drop);
             reached = reached.union(&prefix.sequence(&binding, &vars));
+            remaining -= 1;
+            if remaining == 0 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
         },
     );
+    debug_assert!(flow.is_break(), "the walk must reach every recursive call");
     // Project onto the procedure parameters (pre) and the callee parameter
     // names (post).  For self/mutual recursion in the benchmark suite the
     // callee parameter names coincide positionally with the caller's.
@@ -279,6 +301,39 @@ mod tests {
         assert!(
             bound.is_logarithmic(),
             "expected logarithmic bound, got {bound:?}"
+        );
+    }
+
+    #[test]
+    fn calls_outside_the_component_are_not_descents() {
+        // Recurse on n - 1, then call a procedure outside the component.
+        let mut prog = Program::new();
+        prog.add_global("cost");
+        prog.add_procedure(Procedure::new(
+            "tick",
+            &["k"],
+            &[],
+            Stmt::assign("cost", Expr::var("cost").add(Expr::var("k"))),
+        ));
+        prog.add_procedure(Procedure::new(
+            "down",
+            &["n"],
+            &[],
+            Stmt::if_then(
+                Cond::gt(Expr::var("n"), Expr::int(0)),
+                Stmt::seq(vec![
+                    Stmt::call("down", vec![Expr::var("n").sub(Expr::int(1))]),
+                    Stmt::call("tick", vec![Expr::var("n")]),
+                ]),
+            ),
+        ));
+        let s = summarizer_for(&prog);
+        let proc = prog.procedure("down").unwrap();
+        let bound = depth_bound(&s, proc, &["down".to_string()], &FreshSource::new(0))
+            .expect("depth bound");
+        assert!(
+            !bound.is_logarithmic(),
+            "expected linear bound, got {bound:?}"
         );
     }
 

@@ -12,7 +12,9 @@
 //! [`Summarizer::walk`] is the one forward pass over a body: it carries the
 //! formula reaching each statement and hands every `assert` and every call
 //! to a visitor, which is how assertions are checked and how the depth
-//! analysis collects its descents.
+//! analysis collects its descents.  The visitor can stop the walk, and
+//! both of them do so right after the last statement they read, so no
+//! formula is built past it.
 
 use crate::lower::{lower_cond, lower_cond_negated, lower_expr};
 use chora_expr::{FreshSource, Polynomial, Symbol};
@@ -20,6 +22,7 @@ use chora_ir::{Cond, Expr, Procedure, Program, Stmt};
 use chora_logic::{Atom, Polyhedron, TransitionFormula};
 use chora_numeric::BigRational;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::ControlFlow;
 use std::sync::RwLock;
 
 /// The summary of a statement: behaviours that fall through plus behaviours
@@ -288,6 +291,13 @@ impl<'a> Summarizer<'a> {
     /// `scc_override` (as in [`Summarizer::summarize_stmt`]); a loop body is
     /// walked under the loop's closure followed by its guard, and `return`
     /// ends the path.
+    ///
+    /// The visitor stops the walk by returning [`ControlFlow::Break`]: the
+    /// walk then returns `Break` at once, without sequencing anything after
+    /// that visit (the rest of a sequence, the else branch of an `if` whose
+    /// then branch broke, a loop's exit).  Everything before it runs as in a
+    /// full walk, so each visit sees the same reaching formula and the same
+    /// fresh symbols whether or not a later visit breaks.
     pub fn walk(
         &self,
         stmt: &Stmt,
@@ -295,25 +305,25 @@ impl<'a> Summarizer<'a> {
         scc_override: &BTreeMap<String, TransitionFormula>,
         prefix: TransitionFormula,
         fresh: &FreshSource,
-        visit: &mut dyn FnMut(Visit<'_>, &TransitionFormula),
-    ) -> TransitionFormula {
+        visit: &mut dyn FnMut(Visit<'_>, &TransitionFormula) -> ControlFlow<()>,
+    ) -> ControlFlow<(), TransitionFormula> {
         match stmt {
             Stmt::Assert(cond, label) => {
-                visit(Visit::Assert(cond, label), &prefix);
-                prefix
+                visit(Visit::Assert(cond, label), &prefix)?;
+                ControlFlow::Continue(prefix)
             }
-            Stmt::Seq(stmts) => stmts.iter().fold(prefix, |current, s| {
+            Stmt::Seq(stmts) => stmts.iter().try_fold(prefix, |current, s| {
                 self.walk(s, vars, scc_override, current, fresh, visit)
             }),
             Stmt::If(c, then_branch, else_branch) => {
                 let (guard_t, guard_f) = guards(c, vars, fresh);
                 let then_prefix = prefix.sequence(&guard_t, vars);
                 let after_then =
-                    self.walk(then_branch, vars, scc_override, then_prefix, fresh, visit);
+                    self.walk(then_branch, vars, scc_override, then_prefix, fresh, visit)?;
                 let else_prefix = prefix.sequence(&guard_f, vars);
                 let after_else =
-                    self.walk(else_branch, vars, scc_override, else_prefix, fresh, visit);
-                after_then.union(&after_else)
+                    self.walk(else_branch, vars, scc_override, else_prefix, fresh, visit)?;
+                ControlFlow::Continue(after_then.union(&after_else))
             }
             Stmt::While(c, body) => {
                 let body_sum = self.summarize_stmt(body, vars, scc_override, fresh);
@@ -322,16 +332,16 @@ impl<'a> Summarizer<'a> {
                 let iterations = self.loop_summary(&one_iteration, vars, fresh);
                 let looped = prefix.sequence(&iterations, vars);
                 let in_loop = looped.sequence(&guard_t, vars);
-                self.walk(body, vars, scc_override, in_loop, fresh, visit);
-                looped.sequence(&guard_f, vars)
+                self.walk(body, vars, scc_override, in_loop, fresh, visit)?;
+                ControlFlow::Continue(looped.sequence(&guard_f, vars))
             }
-            Stmt::Return(_) => TransitionFormula::bottom(),
+            Stmt::Return(_) => ControlFlow::Continue(TransitionFormula::bottom()),
             other => {
                 if let Stmt::Call { callee, args, .. } = other {
-                    visit(Visit::Call(callee, args), &prefix);
+                    visit(Visit::Call(callee, args), &prefix)?;
                 }
                 let summary = self.summarize_stmt(other, vars, scc_override, fresh);
-                prefix.sequence(&summary.fall_through, vars)
+                ControlFlow::Continue(prefix.sequence(&summary.fall_through, vars))
             }
         }
     }
@@ -797,5 +807,53 @@ mod tests {
         );
         assert!(summary.implies_atom(&Atom::ge(pvar("ret'"), Polynomial::zero())));
         assert!(summary.implies_atom(&Atom::le(pvar("ret'"), Polynomial::one())));
+    }
+
+    /// Walks `body` with a visitor that breaks at its first visit: the
+    /// labels of the asserts it saw, and whether the walk broke.
+    fn walk_to_first_visit(body: Stmt) -> (Vec<String>, bool) {
+        let mut prog = Program::new();
+        prog.add_procedure(Procedure::new("p", &["x"], &[], body));
+        let summarizer = Summarizer::new(&prog);
+        let proc = prog.procedure("p").unwrap();
+        let vars = summarizer.proc_vars(proc);
+        let mut seen = Vec::new();
+        let flow = summarizer.walk(
+            &proc.body,
+            &vars,
+            &BTreeMap::new(),
+            TransitionFormula::identity(&vars),
+            &fs(),
+            &mut |visit, _| {
+                if let Visit::Assert(_, label) = visit {
+                    seen.push(label.to_string());
+                }
+                ControlFlow::Break(())
+            },
+        );
+        (seen, flow.is_break())
+    }
+
+    #[test]
+    fn a_breaking_visitor_stops_the_walk() {
+        let check =
+            |label: &str| Stmt::Assert(Cond::ge(Expr::var("x"), Expr::int(0)), label.into());
+        let x_positive = || Cond::gt(Expr::var("x"), Expr::int(0));
+        // The rest of a sequence.
+        let body = Stmt::seq(vec![
+            check("first"),
+            Stmt::assign("x", Expr::var("x").add(Expr::int(1))),
+            check("second"),
+        ]);
+        assert_eq!(walk_to_first_visit(body), (vec!["first".to_string()], true));
+        // The else branch of an `if` whose then branch broke.
+        let body = Stmt::if_else(x_positive(), check("then"), check("else"));
+        assert_eq!(walk_to_first_visit(body), (vec!["then".to_string()], true));
+        // What follows a loop whose body broke.
+        let body = Stmt::seq(vec![
+            Stmt::while_loop(x_positive(), check("body")),
+            check("after"),
+        ]);
+        assert_eq!(walk_to_first_visit(body), (vec!["body".to_string()], true));
     }
 }
