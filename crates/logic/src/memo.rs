@@ -2,8 +2,9 @@
 //!
 //! One analysis run asks "is this conjunction empty?" about the same atom
 //! list many times over: height summarizes each recursive procedure twice,
-//! depth walks the body again, the assertion pass re-summarizes guards and
-//! loops, and `abstract_hull` runs once per candidate term over the same
+//! depth walks the body again up to its last recursive call, the assertion
+//! pass re-summarizes the guards and loops before a body's last `assert`,
+//! and `abstract_hull` runs once per candidate term over the same
 //! disjuncts.  Each question costs a linearization plus either a simplex
 //! witness search or a full Fourier–Motzkin elimination: `is_empty_set`
 //! tries the witness first and eliminates only when it finds none, and
