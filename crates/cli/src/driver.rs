@@ -402,6 +402,7 @@ pub(crate) fn render_analysis(
     opts: &FileOptions,
     elapsed_ms: f64,
 ) -> Result<(String, i32), CliError> {
+    let _span = chora_telemetry::trace::span("report", "render_analysis");
     // With --proc the report is restricted to that procedure (and its
     // assertions); the analysis itself is always whole-program.
     let focus = match opts.procedure.as_deref() {
@@ -550,6 +551,7 @@ pub(crate) fn render_complexity(
     opts: &FileOptions,
     elapsed_ms: f64,
 ) -> Result<(String, i32), CliError> {
+    let _span = chora_telemetry::trace::span("report", "render_complexity");
     let proc_name = resolve_procedure(program, opts.procedure.as_deref())?;
     let cost = resolve_cost_var(program, opts.cost_var.as_deref())?;
     let size = resolve_size_param(program, &proc_name, opts.size_param.as_deref())?;

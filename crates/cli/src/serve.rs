@@ -26,7 +26,7 @@ use crate::driver::{
 use crate::json::Json;
 use crate::progcache::{response_key, source_key};
 use chora_core::{
-    entry_key, FlightCounters, ProcedureSummary, RemoteStore, ScopeResolver, ShardedLru,
+    entry_key, ComponentEntry, FlightCounters, RemoteStore, ScopeResolver, ShardedLru,
     SingleFlight, SummaryStore, TierCounters, TieredConfig, TieredStore,
 };
 use chora_ir::{Fingerprint, Program};
@@ -235,15 +235,15 @@ impl ServiceStore {
 }
 
 impl SummaryStore for ServiceStore {
-    fn load(&self, key: &Fingerprint, scopes: &dyn ScopeResolver) -> Option<Vec<ProcedureSummary>> {
+    fn load(&self, key: &Fingerprint, scopes: &dyn ScopeResolver) -> Option<ComponentEntry> {
         self.flight.load(key, scopes)
     }
 
-    fn store(&self, key: &Fingerprint, summaries: &[ProcedureSummary], scopes: &dyn ScopeResolver) {
+    fn store(&self, key: &Fingerprint, entry: &ComponentEntry, scopes: &dyn ScopeResolver) {
         if let Some(src) = scopes.source_tag() {
             self.record_publisher(key, src);
         }
-        self.flight.store(key, summaries, scopes);
+        self.flight.store(key, entry, scopes);
     }
 
     fn eviction_totals(&self) -> (u64, u64) {
@@ -364,6 +364,7 @@ impl AnalysisService {
             return Ok(doc.to_string());
         }
         let out = run(&program)?;
+        let _span = trace::span("cache", "response_cache_insert");
         self.responses
             .put(&key, Arc::from(out.as_str()), out.len() as u64);
         Ok(out)
@@ -530,6 +531,7 @@ fn error_envelope(message: &str) -> String {
 /// indentation so any element is byte-identical (modulo the separating
 /// comma) to the matching single-shot response.
 fn frame_batch(rendered: Vec<String>) -> String {
+    let _span = trace::span("report", "render_batch");
     if rendered.is_empty() {
         return "[]\n".to_string();
     }
@@ -670,6 +672,7 @@ impl AnalysisBackend for AnalysisService {
                     elapsed_ms,
                 ) {
                     Ok((out, _exit)) => {
+                        let _span = trace::span("cache", "response_cache_insert");
                         self.responses
                             .put(&key, Arc::from(out.as_str()), out.len() as u64);
                         rendered[i] = Some(out);
@@ -770,6 +773,7 @@ impl AnalysisBackend for AnalysisService {
             ("emptiness_memo_hits", fm.emptiness_memo_hits),
             ("emptiness_witnesses", fm.emptiness_witnesses),
             ("overflow_restarts", fm.overflow_restarts),
+            ("budget_drops", fm.budget_drops),
         ]
     }
 

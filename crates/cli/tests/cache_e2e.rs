@@ -209,7 +209,8 @@ fn corrupted_and_version_mismatched_entries_are_evicted_not_fatal() {
             1 => std::fs::write(entry, "complete garbage").unwrap(),
             _ => {
                 let text = std::fs::read_to_string(entry).unwrap();
-                std::fs::write(entry, text.replace("\"version\":2", "\"version\":99")).unwrap();
+                let version = format!("\"version\":{}", chora_core::cache::CACHE_VERSION);
+                std::fs::write(entry, text.replace(&version, "\"version\":99")).unwrap();
             }
         }
     }

@@ -582,6 +582,7 @@ fn metrics_stats_and_traced_requests_expose_the_telemetry_surface() {
         "chora_fm_emptiness_memo_hits_total",
         "chora_fm_emptiness_witnesses_total",
         "chora_fm_overflow_restarts_total",
+        "chora_fm_budget_drops_total",
         "chora_process_start_time_ms",
     ] {
         assert!(body.contains(needle), "missing `{needle}` in:\n{body}");
@@ -607,6 +608,7 @@ fn metrics_stats_and_traced_requests_expose_the_telemetry_surface() {
         "\"emptiness_memo_hits\": ",
         "\"emptiness_witnesses\": ",
         "\"overflow_restarts\": ",
+        "\"budget_drops\": ",
     ] {
         assert!(stats.contains(field), "missing {field} in:\n{stats}");
     }

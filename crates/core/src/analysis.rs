@@ -6,7 +6,9 @@
 //! height-based recurrence analysis (§4.1 / §4.4) and depth-bound analysis
 //! (§4.2), and their summaries combine the solved bounding functions with the
 //! depth bound as in Eqn. (4).  A final pass re-analyses each procedure body
-//! with the computed summaries to discharge assertions.
+//! with the computed summaries to discharge assertions; a procedure whose
+//! component was a summary-store hit takes its verdicts from the store entry
+//! instead.
 //!
 //! Scheduling is a dependency-counted ready queue over one merged task graph
 //! (components plus per-procedure assertion passes, across every program of a
@@ -20,7 +22,7 @@ use crate::complexity::term_to_polynomial;
 use crate::depth::{depth_bound, polynomial_to_term, DepthBound};
 use crate::height::{analyze_scc, HeightAnalysis};
 use crate::lower::lower_cond_post;
-use crate::store::{CacheStats, SummaryStore};
+use crate::store::{CacheStats, ComponentEntry, SummaryStore};
 use crate::summarize::{Summarizer, Visit};
 use chora_expr::{ExpPoly, FreshSource, Polynomial, Symbol, Term};
 use chora_ir::{
@@ -116,7 +118,8 @@ pub struct PhaseTimings {
     /// The recursive components: height-based recurrence extraction and
     /// solving, depth-bound analysis and the summaries built from them.
     pub solve_ms: f64,
-    /// The assertion-checking pass.
+    /// The assertion-checking pass (zero for the procedures whose verdicts a
+    /// store hit restored).
     pub check_ms: f64,
 }
 
@@ -196,13 +199,13 @@ impl Analyzer {
     ///
     /// Before summarizing, each component's transitive fingerprint (see
     /// [`chora_ir::fingerprint`]) is looked up in `store`: a hit restores
-    /// the cached summaries — skipping intra-procedural summarization and
-    /// height/depth/recurrence solving for the component entirely — while
-    /// assertion checking still runs against the restored summaries.  Only
-    /// the dirty cone (components whose own body, callee cone, or analysis
-    /// configuration changed) is re-summarized and re-stored; in particular
-    /// a component's *position* in the bottom-up schedule is not part of
-    /// its key — prepending or reordering unrelated procedures keeps every
+    /// the cached summaries and the members' assertion verdicts — skipping
+    /// intra-procedural summarization, height/depth/recurrence solving and
+    /// the members' assertion walks entirely.  Only the dirty cone
+    /// (components whose own body, callee cone, or analysis configuration
+    /// changed) is re-summarized, re-checked and re-stored; in particular a
+    /// component's *position* in the bottom-up schedule is not part of its
+    /// key — prepending or reordering unrelated procedures keeps every
     /// unchanged cone warm.  Restored summaries are rescoped on load: the
     /// per-component fresh-symbol scope the driver assigned *this* run is
     /// threaded to the store through a [`ComponentScopes`] resolver, so
@@ -260,6 +263,9 @@ impl Analyzer {
         store: Option<&dyn SummaryStore>,
         recursive: &RecursiveStep<'_>,
     ) -> Vec<AnalysisResult> {
+        // The set-up — call graphs, keys, scopes and the task graph — is
+        // traced as `plan`, the fold after the queue as `fold`.
+        let plan_span = trace::span("phase", "plan");
         // Store eviction counters run over the store's lifetime; report
         // only this batch's deltas (stores are reused across bench runs
         // and live for a whole `chora serve` process).
@@ -306,6 +312,7 @@ impl Analyzer {
                     summarizer: Summarizer::new(program),
                     level_scope_base,
                     assert_scope_base: next_scope,
+                    restored: program.procedures.iter().map(|_| OnceLock::new()).collect(),
                     result: AnalysisResult::default(),
                 }
             })
@@ -369,14 +376,16 @@ impl Analyzer {
                 dependents[d].push(t);
             }
         }
+        drop(plan_span);
         // Drain the graph.  Workers probe the store (loads — disk read,
         // decode, rescope, re-intern — run concurrently too), summarize on a
-        // miss, and publish summaries into the program's shared table before
-        // the scheduler releases any dependent task.  Store writes are
-        // deferred to the fold: probes therefore see exactly the entries the
-        // run started with, independent of scheduling (a task could never
-        // hit a same-run store anyway — an identical component has an
-        // identical cone, hence the same level and a same-round probe).
+        // miss, and publish summaries into the program's shared table (and a
+        // hit's verdicts into `restored`) before the scheduler releases any
+        // dependent task.  Store writes are deferred to the fold: probes
+        // therefore see exactly the entries the run started with,
+        // independent of scheduling (a task could never hit a same-run
+        // store anyway — an identical component has an identical cone,
+        // hence the same level and a same-round probe).
         let runs_ref = &runs;
         let tasks_ref = &tasks;
         let outputs = run_ready_queue(jobs, &dependents, dep_count, |t| match tasks_ref[t] {
@@ -392,18 +401,30 @@ impl Analyzer {
                         (store, &run.keys, &run.run_scopes)
                     {
                         let _load_span = trace::span("cache", "cache_load");
-                        let hit = store
-                            .load(&keys[level][index], run_scopes)
-                            .filter(|summaries| {
-                                summaries.len() == component.members.len()
-                                    && summaries
+                        let hit = store.load(&keys[level][index], run_scopes).filter(|entry| {
+                            entry.summaries.len() == component.members.len()
+                                && entry
+                                    .summaries
+                                    .iter()
+                                    .zip(&component.members)
+                                    .all(|(s, m)| &s.name == m)
+                        });
+                        if let Some(entry) = hit {
+                            // Each member's assertion task depends on this
+                            // one and returns these verdicts unwalked.
+                            for (i, proc) in run.program.procedures.iter().enumerate() {
+                                if component.members.contains(&proc.name) {
+                                    let verdicts = entry
+                                        .assertions
                                         .iter()
-                                        .zip(&component.members)
-                                        .all(|(s, m)| &s.name == m)
-                            });
-                        if let Some(summaries) = hit {
+                                        .filter(|a| a.procedure == proc.name)
+                                        .cloned()
+                                        .collect();
+                                    let _ = run.restored[i].set(verdicts);
+                                }
+                            }
                             break 'output ComponentOutput {
-                                summaries,
+                                summaries: entry.summaries,
                                 summarize_ms: 0.0,
                                 solve_ms: 0.0,
                                 cache_hit: true,
@@ -421,12 +442,16 @@ impl Analyzer {
             }
             Task::Assert { p, proc_index } => {
                 let run = &runs_ref[p];
-                let _task_span = trace::span_with("task", || {
-                    format!("assert {}", run.program.procedures[proc_index].name)
-                });
+                let proc = &run.program.procedures[proc_index];
+                let _task_span = trace::span_with("task", || format!("assert {}", proc.name));
+                if let Some(asserts) = run.restored[proc_index].get() {
+                    return TaskOutput::Assert {
+                        asserts: asserts.clone(),
+                        check_ms: 0.0,
+                    };
+                }
                 let _check_span = trace::span("phase", "check");
                 let started = Instant::now();
-                let proc = &run.program.procedures[proc_index];
                 let fresh = FreshSource::new(run.assert_scope_base + proc_index as u32);
                 TaskOutput::Assert {
                     asserts: check_asserts(&run.summarizer, proc, &fresh),
@@ -434,36 +459,58 @@ impl Analyzer {
                 }
             }
         });
-        // Fold the outputs back in task-id order — per program that is
-        // bottom-up component order then procedure order, so counters,
+        let _fold_span = trace::span("phase", "fold");
+        // Fold the outputs back in a fixed order — the assertion tasks, then
+        // the component tasks, each in task-id order, which per program is
+        // procedure order, then bottom-up component order — so counters,
         // timing sums, store writes, and assertion lists come out exactly
-        // as a solo sequential run would produce them.
-        for (t, output) in outputs.into_iter().enumerate() {
-            match (tasks[t], output) {
-                (Task::Component { p, level, index }, TaskOutput::Component(output)) => {
-                    let run = &mut runs[p];
-                    if output.cache_hit {
-                        run.result.cache.hits += 1;
-                    } else {
-                        run.result.cache.misses += store.is_some() as u64;
-                        run.result.timings.summarize_ms += output.summarize_ms;
-                        run.result.timings.solve_ms += output.solve_ms;
-                        if let (Some(store), Some(keys), Some(run_scopes)) =
-                            (store, &run.keys, &run.run_scopes)
-                        {
-                            let _store_span = trace::span("cache", "cache_store");
-                            store.store(&keys[level][index], &output.summaries, run_scopes);
-                        }
-                    }
-                    for summary in output.summaries {
-                        run.result.summaries.insert(summary.name.clone(), summary);
-                    }
+        // as a solo sequential run would produce them.  The verdicts come
+        // first because a component's store entry carries its members'.
+        let mut component_outputs = outputs;
+        let assert_outputs = component_outputs.split_off(component_tasks);
+        for (&task, output) in tasks[component_tasks..].iter().zip(assert_outputs) {
+            let (Task::Assert { p, .. }, TaskOutput::Assert { asserts, check_ms }) = (task, output)
+            else {
+                unreachable!("assertion tasks come after the component tasks");
+            };
+            runs[p].result.assertions.extend(asserts);
+            runs[p].result.timings.check_ms += check_ms;
+        }
+        for (&task, output) in tasks.iter().zip(component_outputs) {
+            let (Task::Component { p, level, index }, TaskOutput::Component(output)) =
+                (task, output)
+            else {
+                unreachable!("component tasks come first");
+            };
+            let run = &mut runs[p];
+            let mut summaries = output.summaries;
+            if output.cache_hit {
+                run.result.cache.hits += 1;
+            } else {
+                run.result.cache.misses += store.is_some() as u64;
+                run.result.timings.summarize_ms += output.summarize_ms;
+                run.result.timings.solve_ms += output.solve_ms;
+                if let (Some(store), Some(keys), Some(run_scopes)) =
+                    (store, &run.keys, &run.run_scopes)
+                {
+                    let _store_span = trace::span("cache", "cache_store");
+                    let members = &run.levels[level][index].members;
+                    let entry = ComponentEntry {
+                        summaries,
+                        assertions: run
+                            .result
+                            .assertions
+                            .iter()
+                            .filter(|a| members.contains(&a.procedure))
+                            .cloned()
+                            .collect(),
+                    };
+                    store.store(&keys[level][index], &entry, run_scopes);
+                    summaries = entry.summaries;
                 }
-                (Task::Assert { p, .. }, TaskOutput::Assert { asserts, check_ms }) => {
-                    runs[p].result.assertions.extend(asserts);
-                    runs[p].result.timings.check_ms += check_ms;
-                }
-                _ => unreachable!("task and output kinds are built in lockstep"),
+            }
+            for summary in summaries {
+                run.result.summaries.insert(summary.name.clone(), summary);
             }
         }
         let metrics = analysis_metrics();
@@ -759,6 +806,10 @@ struct ProgramRun<'p> {
     level_scope_base: Vec<u32>,
     /// First scope of the assertion pass: the program's component count.
     assert_scope_base: u32,
+    /// Per procedure, in program order: the verdicts a store hit on its
+    /// component restored, which its assertion task returns instead of
+    /// walking the body.
+    restored: Vec<OnceLock<Vec<AssertionResult>>>,
     result: AnalysisResult,
 }
 
@@ -1110,9 +1161,45 @@ mod tests {
         assert_eq!(warm.cache.misses, 0);
         assert_eq!(warm.cache.evictions, 0);
         same_analysis(&plain, &warm);
-        // A cache hit skips the summarize and solve phases entirely.
+        // A cache hit skips the summarize, solve and check phases entirely.
         assert_eq!(warm.timings.summarize_ms, 0.0);
         assert_eq!(warm.timings.solve_ms, 0.0);
+        assert_eq!(warm.timings.check_ms, 0.0);
+    }
+
+    #[test]
+    fn a_hit_returns_the_verdicts_of_its_entry_unwalked() {
+        let program = cached_program(1);
+        let analyzer = Analyzer::new();
+        let store = memory_store();
+        let cold = analyzer.analyze_with_store(&program, Some(&store));
+        assert!(cold.all_assertions_verified());
+        // Flip the stored verdict of `main`'s one assert: a warm run that
+        // walked the body would prove it again.
+        let callgraph = CallGraph::build(&program);
+        let levels = callgraph.component_levels();
+        let keys = level_keys(&program, &callgraph, &levels, analyzer.cache_salt(&program));
+        let main_key = levels
+            .iter()
+            .flatten()
+            .zip(keys.iter().flatten())
+            .find(|(c, _)| c.members == ["main"])
+            .map(|(_, k)| *k)
+            .expect("main has a component");
+        let text = store.load_local_text(&main_key).expect("main's entry");
+        let forged = text.replace(r#"["trivial",true]"#, r#"["trivial",false]"#);
+        assert_ne!(forged, text, "the entry carries main's verdict");
+        store.store_local_text(&main_key, &forged);
+        let warm = analyzer.analyze_with_store(&program, Some(&store));
+        assert_eq!(warm.cache.hits, 3);
+        assert_eq!(
+            warm.assertions,
+            vec![AssertionResult {
+                procedure: "main".to_string(),
+                label: "trivial".to_string(),
+                verified: false,
+            }]
+        );
     }
 
     #[test]

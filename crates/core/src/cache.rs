@@ -1,5 +1,12 @@
-//! Stable (de)serialization of procedure summaries for the persistent
+//! Stable (de)serialization of component entries for the persistent
 //! summary cache.
+//!
+//! An entry ([`ComponentEntry`]) holds, for each member of one call-graph
+//! component, its [`ProcedureSummary`] and, next to it, the verdicts of the
+//! asserts in its body (format v3).  A warm run therefore neither
+//! summarizes a hit component nor walks any of its members' bodies: the
+//! verdicts depend only on what the component key hashes, every `assert`
+//! (label and condition) and the keys of the whole callee cone.
 //!
 //! The encoding is a one-line JSON document, built, rendered
 //! ([`Json::compact`]) and parsed with [`chora_telemetry::json`], and
@@ -34,8 +41,9 @@
 //! performed (unknown component key, packed-ceiling overflow) makes the
 //! decoder return `None`, which the stores count as a corruption eviction.
 
-use crate::analysis::{BoundFact, ProcedureSummary};
+use crate::analysis::{AssertionResult, BoundFact, ProcedureSummary};
 use crate::depth::DepthBound;
+use crate::store::ComponentEntry;
 use chora_expr::{ExpPoly, Monomial, Polynomial, Symbol, SymbolKind, Term};
 use chora_ir::{Fingerprint, FingerprintBuilder};
 use chora_logic::{Atom, AtomKind, Polyhedron, TransitionFormula};
@@ -49,8 +57,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub const CACHE_FORMAT: &str = "chora-summary-cache";
 /// Current version of the on-disk encoding.  v2 made entries independent of
 /// the bottom-up component order: fresh symbols are stored under canonical
-/// scope indices plus a component-key table and rescoped on load.
-pub const CACHE_VERSION: i64 = 2;
+/// scope indices plus a component-key table and rescoped on load.  v3 stores
+/// each member's assertion verdicts next to its summary.
+pub const CACHE_VERSION: i64 = 3;
 
 // ---------------------------------------------------------------------------
 // Scope translation.
@@ -587,30 +596,60 @@ fn decode_summary(v: &Json, dec: &ScopeDecoder<'_>) -> Option<ProcedureSummary> 
     })
 }
 
+/// One verdict as `[label, verified]`; its procedure is the member whose
+/// `"assertions"` list holds it.
+fn encode_verdict(a: &AssertionResult) -> Json {
+    Json::Array(vec![Json::str(&a.label), Json::Bool(a.verified)])
+}
+
+fn decode_verdict(v: &Json, procedure: &str) -> Option<AssertionResult> {
+    let [label, verified] = v.as_array()? else {
+        return None;
+    };
+    Some(AssertionResult {
+        procedure: procedure.to_string(),
+        label: label.as_str()?.to_string(),
+        verified: verified.as_bool()?,
+    })
+}
+
 // ---------------------------------------------------------------------------
 // Cache-entry envelope.
 // ---------------------------------------------------------------------------
 
-/// Encodes the summaries of one call-graph component under its transitive
-/// key as a single-line JSON document.
+/// Encodes the entry of one call-graph component under its transitive key
+/// as a single-line JSON document: each member's summary, with the
+/// verdicts of that member's asserts under `"assertions"`.
 ///
 /// Fresh-symbol scopes are replaced by canonical indices into the entry's
 /// `"scopes"` table of owning component keys (looked up through `scopes`),
 /// so the document is independent of the bottom-up component order — two
 /// runs that place the component at different schedule positions write
 /// identical bytes.  Returns `None` when a fresh scope has no component
-/// key (the entry would not be restorable); callers simply skip caching.
+/// key, or a verdict belongs to no member (the entry would not be
+/// restorable); callers simply skip caching.
 pub fn encode_entry(
     key: &Fingerprint,
-    summaries: &[ProcedureSummary],
+    entry: &ComponentEntry,
     scopes: &dyn ScopeResolver,
 ) -> Option<String> {
     let mut enc = ScopeEncoder::new(scopes);
-    let encoded: Vec<Json> = summaries
+    let mut placed = 0;
+    let encoded: Vec<Json> = entry
+        .summaries
         .iter()
-        .map(|s| encode_summary(s, &mut enc))
+        .map(|s| {
+            let verdicts: Vec<Json> = entry
+                .assertions
+                .iter()
+                .filter(|a| a.procedure == s.name)
+                .map(encode_verdict)
+                .collect();
+            placed += verdicts.len();
+            encode_summary(s, &mut enc).field("assertions", Json::Array(verdicts))
+        })
         .collect();
-    if enc.failed {
+    if enc.failed || placed != entry.assertions.len() {
         return None;
     }
     let doc = Json::object()
@@ -635,7 +674,7 @@ pub fn decode_entry(
     text: &str,
     expected_key: &Fingerprint,
     scopes: &dyn ScopeResolver,
-) -> Option<Vec<ProcedureSummary>> {
+) -> Option<ComponentEntry> {
     let doc = Json::parse(text).ok()?;
     if doc.get("format")?.as_str()? != CACHE_FORMAT {
         return None;
@@ -656,11 +695,17 @@ pub fn decode_entry(
         resolver: scopes,
         table: table?,
     };
-    doc.get("summaries")?
-        .as_array()?
-        .iter()
-        .map(|s| decode_summary(s, &dec))
-        .collect()
+    let mut entry = ComponentEntry::default();
+    for member in doc.get("summaries")?.as_array()? {
+        let summary = decode_summary(member, &dec)?;
+        for verdict in member.get("assertions")?.as_array()? {
+            entry
+                .assertions
+                .push(decode_verdict(verdict, &summary.name)?);
+        }
+        entry.summaries.push(summary);
+    }
+    Some(entry)
 }
 
 /// Checks a cache entry's *envelope* — format tag, version, and embedded
@@ -750,15 +795,38 @@ mod tests {
         }
     }
 
+    /// The sample summary as a one-member entry, with two verdicts.
+    fn sample_entry() -> ComponentEntry {
+        ComponentEntry {
+            summaries: vec![sample_summary()],
+            assertions: [("proved", true), ("open", false)]
+                .map(|(label, verified)| AssertionResult {
+                    procedure: "p".to_string(),
+                    label: label.to_string(),
+                    verified,
+                })
+                .to_vec(),
+        }
+    }
+
+    /// A one-member entry without verdicts.
+    fn entry_of(summary: ProcedureSummary) -> ComponentEntry {
+        ComponentEntry {
+            summaries: vec![summary],
+            assertions: Vec::new(),
+        }
+    }
+
     #[test]
     fn entry_round_trip_is_exact() {
         let key = Fingerprint(0x1234_5678_9abc_def0_1111_2222_3333_4444);
-        let summary = sample_summary();
-        let encoded =
-            encode_entry(&key, std::slice::from_ref(&summary), &same_scopes()).expect("encodes");
+        let entry = sample_entry();
+        let summary = &entry.summaries[0];
+        let encoded = encode_entry(&key, &entry, &same_scopes()).expect("encodes");
         let decoded = decode_entry(&encoded, &key, &same_scopes()).expect("decodes");
-        assert_eq!(decoded.len(), 1);
-        let d = &decoded[0];
+        assert_eq!(decoded.summaries.len(), 1);
+        assert_eq!(decoded.assertions, entry.assertions);
+        let d = &decoded.summaries[0];
         assert_eq!(d.name, summary.name);
         assert_eq!(d.recursive, summary.recursive);
         assert_eq!(d.formula, summary.formula);
@@ -777,16 +845,21 @@ mod tests {
             encode_entry(&key, &decoded, &same_scopes()).expect("re-encodes"),
             encoded
         );
+        // A verdict of a procedure that is not a member has no place in the
+        // entry.
+        let mut stray = entry.clone();
+        stray.assertions[0].procedure = "q".to_string();
+        assert!(encode_entry(&key, &stray, &same_scopes()).is_none());
     }
 
     #[test]
-    fn v2_entry_bytes_are_pinned() {
+    fn v3_entry_bytes_are_pinned() {
         // Disk caches and the peers of a mixed-version fleet exchange these
         // bytes: changing them needs a `CACHE_VERSION` bump.
         let key = Fingerprint(0x1234_5678_9abc_def0_1111_2222_3333_4444);
-        let encoded = encode_entry(&key, &[sample_summary()], &same_scopes()).expect("encodes");
+        let encoded = encode_entry(&key, &sample_entry(), &same_scopes()).expect("encodes");
         let pinned = concat!(
-            r#"{"format":"chora-summary-cache","version":2,"key":"123456789abcdef01111222233334444","#,
+            r#"{"format":"chora-summary-cache","version":3,"key":"123456789abcdef01111222233334444","#,
             r#""scopes":["000000000000000000000000feed0006"],"summaries":[{"name":"p","recursive":true,"#,
             r#""formula":{"cap":9,"disjuncts":[[[0,[["-1",[["n:cost",1]]],["-1",[["n:n",1]]],"#,
             r#"["1",[["p:cost",1]]]]],[2,[["1",[["n:x",2]]],["-1",[["n:y",1]]]]],"#,
@@ -794,7 +867,8 @@ mod tests {
             r#""bound_facts":[{"term":[["-1",[["n:cost",1]]],["1",[["p:cost",1]]]],"#,
             r#""closed_form":{"param":"h","terms":[["1",[["-1",[]]]],["2",[["1",[]]]]]},"#,
             r#""bound":["+",["^",["c","2"],["v","n:n"]],["log2",["max",["v","n:n"],["c","1"]]],"#,
-            r#"["min",["v","n:n"],["c","5"]]],"exact":true}],"depth":["log",["v","n:n"]]}]}"#,
+            r#"["min",["v","n:n"],["c","5"]]],"exact":true}],"depth":["log",["v","n:n"]],"#,
+            r#""assertions":[["proved",true],["open",false]]}]}"#,
         );
         assert_eq!(encoded, pinned);
     }
@@ -805,12 +879,10 @@ mod tests {
         // scope 6; this run placed the same component (same key) at scope
         // 16.  The restored summary must mention scope-16 symbols.
         let key = Fingerprint(77);
-        let summary = sample_summary();
-        let encoded =
-            encode_entry(&key, std::slice::from_ref(&summary), &same_scopes()).expect("encodes");
+        let encoded = encode_entry(&key, &sample_entry(), &same_scopes()).expect("encodes");
         let restored = decode_entry(&encoded, &key, &ShiftScopes(10)).expect("decodes");
         let shifted_symbol = Symbol::fresh_at(16, 0);
-        let mentions_shifted = restored[0]
+        let mentions_shifted = restored.summaries[0]
             .formula
             .symbols()
             .iter()
@@ -818,7 +890,7 @@ mod tests {
         assert!(
             mentions_shifted,
             "fresh symbols must be rescoped 6 -> 16: {:?}",
-            restored[0].formula.symbols()
+            restored.summaries[0].formula.symbols()
         );
         // ... and the document itself is scope-independent: re-encoding the
         // shifted summaries under the shifted schedule reproduces the exact
@@ -833,9 +905,8 @@ mod tests {
     #[test]
     fn unrescopable_entries_are_rejected_not_fatal() {
         let key = Fingerprint(78);
-        let summary = sample_summary();
-        let encoded =
-            encode_entry(&key, std::slice::from_ref(&summary), &same_scopes()).expect("encodes");
+        let entry = sample_entry();
+        let encoded = encode_entry(&key, &entry, &same_scopes()).expect("encodes");
         // This run has no component with the recorded key at all.
         assert!(
             decode_entry(&encoded, &key, &NullScopes).is_none(),
@@ -861,7 +932,7 @@ mod tests {
         assert!(decode_entry(&truncated_table, &key, &same_scopes()).is_none());
         // Encoding is equally careful: with no key for the scope, the
         // entry is not produced at all (the store just skips caching).
-        assert!(encode_entry(&key, std::slice::from_ref(&summary), &NullScopes).is_none());
+        assert!(encode_entry(&key, &entry, &NullScopes).is_none());
     }
 
     #[test]
@@ -877,11 +948,11 @@ mod tests {
             depth: None,
             recursive: false,
         };
-        let encoded = encode_entry(&key, std::slice::from_ref(&summary), &NullScopes)
+        let encoded = encode_entry(&key, &entry_of(summary.clone()), &NullScopes)
             .expect("no fresh symbols, no scope lookups");
         assert!(encoded.contains("\"scopes\":[]"));
         let decoded = decode_entry(&encoded, &key, &NullScopes).expect("decodes");
-        assert_eq!(decoded[0].formula, summary.formula);
+        assert_eq!(decoded.summaries[0].formula, summary.formula);
     }
 
     #[test]
@@ -905,16 +976,16 @@ mod tests {
             recursive: false,
         };
         let key = Fingerprint(5);
-        let encoded = encode_entry(&key, &[summary], &NullScopes).expect("encodes");
+        let encoded = encode_entry(&key, &entry_of(summary), &NullScopes).expect("encodes");
         let decoded = decode_entry(&encoded, &key, &NullScopes).expect("decodes");
-        assert_eq!(decoded[0].formula, formula);
-        assert_eq!(decoded[0].formula.disjuncts().len(), 2);
+        assert_eq!(decoded.summaries[0].formula, formula);
+        assert_eq!(decoded.summaries[0].formula.disjuncts().len(), 2);
     }
 
     #[test]
     fn corrupted_entries_are_rejected_not_fatal() {
         let key = Fingerprint(42);
-        let good = encode_entry(&key, &[sample_summary()], &same_scopes()).expect("encodes");
+        let good = encode_entry(&key, &sample_entry(), &same_scopes()).expect("encodes");
         let scopes = same_scopes();
         assert!(decode_entry(&good, &key, &scopes).is_some());
         // Wrong key.
@@ -923,12 +994,20 @@ mod tests {
         assert!(decode_entry(&good[..good.len() / 2], &key, &scopes).is_none());
         assert!(decode_entry("not json at all", &key, &scopes).is_none());
         assert!(decode_entry("", &key, &scopes).is_none());
-        let versioned = good.replace("\"version\":2", "\"version\":999");
+        let versioned = good.replace("\"version\":3", "\"version\":999");
         assert!(decode_entry(&versioned, &key, &scopes).is_none());
-        // Entries from the previous (scope-dependent) format version are
-        // ignored wholesale.
-        let old_version = good.replace("\"version\":2", "\"version\":1");
-        assert!(decode_entry(&old_version, &key, &scopes).is_none());
+        // Entries from earlier format versions are ignored wholesale: v1
+        // was scope-dependent, and a v2 entry carries no verdicts.
+        for old in ["\"version\":1", "\"version\":2"] {
+            let old_version = good.replace("\"version\":3", old);
+            assert!(decode_entry(&old_version, &key, &scopes).is_none());
+            assert!(entry_key(&old_version).is_none());
+        }
+        // A member without its verdicts, or with a malformed one.
+        let no_verdicts = good.replace(",\"assertions\":[[\"proved\",true],[\"open\",false]]", "");
+        assert!(decode_entry(&no_verdicts, &key, &scopes).is_none());
+        let bad_verdict = good.replace("[\"open\",false]", "[\"open\",\"no\"]");
+        assert!(decode_entry(&bad_verdict, &key, &scopes).is_none());
         let wrong_format = good.replace(CACHE_FORMAT, "other-format");
         assert!(decode_entry(&wrong_format, &key, &scopes).is_none());
         // Structurally valid JSON with a malformed symbol.

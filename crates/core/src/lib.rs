@@ -69,6 +69,6 @@ pub use cache::{entry_key, next_flight_group, ComponentScopes, NullScopes, Scope
 pub use complexity::ComplexityClass;
 pub use depth::DepthBound;
 pub use store::{
-    CacheStats, DiskStore, FlightCounters, RemoteStore, ShardedLru, SingleFlight, SummaryStore,
-    TierCounters, TieredConfig, TieredStore,
+    CacheStats, ComponentEntry, DiskStore, FlightCounters, RemoteStore, ShardedLru, SingleFlight,
+    SummaryStore, TierCounters, TieredConfig, TieredStore,
 };

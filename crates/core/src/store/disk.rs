@@ -1,8 +1,7 @@
 //! The persistent disk tier: one JSON file per component key under a
 //! versioned cache directory.
 
-use super::load_histogram;
-use crate::analysis::ProcedureSummary;
+use super::{load_histogram, ComponentEntry};
 use crate::cache::{decode_entry, entry_key, ScopeResolver, CACHE_VERSION};
 use chora_ir::Fingerprint;
 use chora_telemetry::metrics::Histogram;
@@ -132,7 +131,7 @@ impl DiskStore {
     /// counts a hit or a miss and is timed in the `tier="disk"` load
     /// histogram.
     ///
-    /// Returns the *serialized* text alongside the decoded summaries so a
+    /// Returns the *serialized* text alongside the decoded entry so a
     /// fronting tier ([`super::TieredStore`]) can keep the validated bytes
     /// without re-encoding, and the age so promotion never extends an
     /// entry's lifetime.
@@ -140,7 +139,7 @@ impl DiskStore {
         &self,
         key: &Fingerprint,
         scopes: &dyn ScopeResolver,
-    ) -> Option<(String, Vec<ProcedureSummary>, Option<Duration>)> {
+    ) -> Option<(String, ComponentEntry, Option<Duration>)> {
         let started = Instant::now();
         let result = match self.read_entry(key, scopes) {
             Some((_, _, Some(age))) if self.max_age.is_some_and(|limit| age > limit) => {
@@ -167,16 +166,16 @@ impl DiskStore {
         &self,
         key: &Fingerprint,
         scopes: &dyn ScopeResolver,
-    ) -> Option<(String, Vec<ProcedureSummary>, Option<Duration>)> {
+    ) -> Option<(String, ComponentEntry, Option<Duration>)> {
         let path = self.entry_path(key);
         let text = std::fs::read_to_string(&path).ok()?;
         match decode_entry(&text, key, scopes) {
-            Some(summaries) => {
+            Some(entry) => {
                 let age = std::fs::metadata(&path)
                     .and_then(|m| m.modified())
                     .ok()
                     .and_then(|mtime| SystemTime::now().duration_since(mtime).ok());
-                Some((text, summaries, age))
+                Some((text, entry, age))
             }
             None => {
                 // Corrupt or stale: evict, never fail.

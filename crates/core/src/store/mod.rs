@@ -3,15 +3,16 @@
 //!
 //! The driver looks components up by their transitive fingerprint
 //! ([`chora_ir::fingerprint`]) before summarizing: a hit restores the
-//! component's summaries exactly (skipping height/depth/recurrence solving
-//! entirely), a miss summarizes and stores.
+//! component's summaries and its members' assertion verdicts exactly
+//! (skipping height/depth/recurrence solving and the assertion walk
+//! entirely), a miss summarizes, checks and stores.
 //!
 //! # Architecture
 //!
-//! [`SummaryStore`] is the driver-facing trait: decoded summaries in,
-//! decoded summaries out, plus the two lifetime eviction totals behind each
-//! batch's [`CacheStats`].  Every other counter of the stack is in one
-//! snapshot, [`TieredStore::counters`].
+//! [`SummaryStore`] is the driver-facing trait: decoded
+//! [`ComponentEntry`]s in, decoded entries out, plus the two lifetime
+//! eviction totals behind each batch's [`CacheStats`].  Every other
+//! counter of the stack is in one snapshot, [`TieredStore::counters`].
 //!
 //! [`TieredStore`] is the store every command runs against: an L1 memory
 //! tier over an optional L2 disk tier over an optional L3 remote tier.
@@ -34,7 +35,7 @@
 //! misses on the same key, so a thundering herd on a cold cone computes it
 //! once.
 
-use crate::analysis::ProcedureSummary;
+use crate::analysis::{AssertionResult, ProcedureSummary};
 use crate::cache::ScopeResolver;
 use chora_ir::Fingerprint;
 use std::fmt;
@@ -82,7 +83,22 @@ impl fmt::Display for CacheStats {
     }
 }
 
-/// A keyed store of per-component summary lists.
+/// What a store keeps for one call-graph component: each member's summary
+/// and the verdicts of the asserts in the members' bodies.
+///
+/// Both depend only on the component key, which hashes every member body
+/// (each `assert`'s label and condition included) and the keys of the whole
+/// callee cone, so a hit's verdicts are the ones a walk would give.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct ComponentEntry {
+    /// One summary per member, in member order.
+    pub summaries: Vec<ProcedureSummary>,
+    /// The verdict of every assert in the members' bodies; one member's
+    /// verdicts are in body order.
+    pub assertions: Vec<AssertionResult>,
+}
+
+/// A keyed store of per-component entries.
 ///
 /// Implementations must be best-effort: `load` returns `None` for anything
 /// it cannot produce intact, and `store` may silently drop entries (the
@@ -97,12 +113,12 @@ impl fmt::Display for CacheStats {
 /// `crate::cache`).  A load whose rescope is impossible is discarded and
 /// counted as a corruption eviction, never a panic.
 pub trait SummaryStore: Sync {
-    /// The summaries cached under `key`, if present, intact, and
-    /// rescopable into the current run — already rescoped.
-    fn load(&self, key: &Fingerprint, scopes: &dyn ScopeResolver) -> Option<Vec<ProcedureSummary>>;
+    /// The entry cached under `key`, if present, intact, and rescopable
+    /// into the current run — already rescoped.
+    fn load(&self, key: &Fingerprint, scopes: &dyn ScopeResolver) -> Option<ComponentEntry>;
 
-    /// Caches the summaries of one component under its key.
-    fn store(&self, key: &Fingerprint, summaries: &[ProcedureSummary], scopes: &dyn ScopeResolver);
+    /// Caches the entry of one component under its key.
+    fn store(&self, key: &Fingerprint, entry: &ComponentEntry, scopes: &dyn ScopeResolver);
 
     /// Lifetime `(corruption, space-or-age)` eviction totals, summed
     /// across the store's tiers: entries discarded as corrupted,
@@ -128,13 +144,20 @@ pub(crate) mod testutil {
     use chora_logic::TransitionFormula;
     use std::path::PathBuf;
 
-    pub fn summary(name: &str) -> ProcedureSummary {
-        ProcedureSummary {
-            name: name.to_string(),
-            formula: TransitionFormula::top(),
-            bound_facts: Vec::new(),
-            depth: None,
-            recursive: false,
+    /// An entry of trivial summaries named `names`, with no assertions.
+    pub fn entry(names: &[&str]) -> ComponentEntry {
+        ComponentEntry {
+            summaries: names
+                .iter()
+                .map(|name| ProcedureSummary {
+                    name: name.to_string(),
+                    formula: TransitionFormula::top(),
+                    bound_facts: Vec::new(),
+                    depth: None,
+                    recursive: false,
+                })
+                .collect(),
+            assertions: Vec::new(),
         }
     }
 
@@ -157,23 +180,20 @@ pub(crate) mod testutil {
         dir
     }
 
-    /// A summary whose formula mentions a fresh symbol, plus resolvers that
-    /// can and cannot rescope it: the "can" side owns scope 0 under a
+    /// An entry whose one summary mentions a fresh symbol, plus resolvers
+    /// that can and cannot rescope it: the "can" side owns scope 0 under a
     /// synthetic component key, the "cannot" side knows nothing.
-    pub fn fresh_summary() -> ProcedureSummary {
+    pub fn fresh_entry() -> ComponentEntry {
         let t = chora_expr::FreshSource::new(0).fresh();
-        ProcedureSummary {
-            name: "f".to_string(),
-            formula: TransitionFormula::from_polyhedron(chora_logic::Polyhedron::from_atoms(vec![
+        let mut entry = entry(&["f"]);
+        entry.summaries[0].formula =
+            TransitionFormula::from_polyhedron(chora_logic::Polyhedron::from_atoms(vec![
                 chora_logic::Atom::ge(
                     chora_expr::Polynomial::var(t),
                     chora_expr::Polynomial::zero(),
                 ),
-            ])),
-            bound_facts: Vec::new(),
-            depth: None,
-            recursive: false,
-        }
+            ]));
+        entry
     }
 
     pub struct OneScope;
@@ -202,7 +222,7 @@ mod tests {
     fn unrescopable_loads_count_as_corruption_evictions_not_panics() {
         let store = memory_store();
         let key = Fingerprint(0xc0ffee);
-        store.store(&key, &[fresh_summary()], &OneScope);
+        store.store(&key, &fresh_entry(), &OneScope);
         assert!(
             store.load(&key, &OneScope).is_some(),
             "rescopable entry must hit"
@@ -221,14 +241,14 @@ mod tests {
         );
         // The slot is reusable afterwards.
         assert!(store.load(&key, &OneScope).is_none());
-        store.store(&key, &[fresh_summary()], &OneScope);
+        store.store(&key, &fresh_entry(), &OneScope);
         assert!(store.load(&key, &OneScope).is_some());
         // Same through the disk tier, where the entry file must also be
         // gone: a second store over the directory reads the disk.
         let root = temp_dir("rescope-evict");
         let key = Fingerprint(0xc0ffee);
         let writer = TieredStore::open(&root, TieredConfig::default()).expect("open");
-        writer.store(&key, &[fresh_summary()], &OneScope);
+        writer.store(&key, &fresh_entry(), &OneScope);
         let path = writer
             .disk()
             .expect("disk tier")
@@ -249,11 +269,17 @@ mod tests {
         let store = memory_store();
         let key = Fingerprint(7);
         assert!(store.load(&key, &NullScopes).is_none());
-        store.store(&key, &[summary("f"), summary("g")], &NullScopes);
+        let mut stored = entry(&["f", "g"]);
+        stored.assertions = [("g", "a", true), ("g", "b", false)]
+            .map(|(procedure, label, verified)| AssertionResult {
+                procedure: procedure.to_string(),
+                label: label.to_string(),
+                verified,
+            })
+            .to_vec();
+        store.store(&key, &stored, &NullScopes);
         let loaded = store.load(&key, &NullScopes).expect("hit");
-        assert_eq!(loaded.len(), 2);
-        assert_eq!(loaded[0].name, "f");
-        assert_eq!(loaded[1].name, "g");
+        assert_eq!(loaded, stored, "summaries and verdicts round-trip");
         let c = store.counters();
         assert_eq!(c.mem_hits, 1);
         assert_eq!(c.misses, 1);
@@ -271,8 +297,11 @@ mod tests {
         let key = Fingerprint(9);
         let writer = open();
         assert!(writer.load(&key, &NullScopes).is_none());
-        writer.store(&key, &[summary("f")], &NullScopes);
-        assert_eq!(open().load(&key, &NullScopes).expect("hit")[0].name, "f");
+        writer.store(&key, &entry(&["f"]), &NullScopes);
+        assert_eq!(
+            open().load(&key, &NullScopes).expect("hit").summaries[0].name,
+            "f"
+        );
 
         // Corrupt the entry on disk: next load evicts it instead of failing.
         let path = writer
@@ -289,7 +318,7 @@ mod tests {
         assert_eq!(store.eviction_totals(), (1, 0));
         assert!(!path.exists(), "corrupt entry must be deleted");
         // And the slot is usable again.
-        store.store(&key, &[summary("f")], &NullScopes);
+        store.store(&key, &entry(&["f"]), &NullScopes);
         assert!(open().load(&key, &NullScopes).is_some());
         let _ = std::fs::remove_dir_all(&root);
     }
@@ -334,7 +363,7 @@ mod tests {
         let writer = open();
         let store = writer.disk().expect("disk tier");
         for i in 0..4u128 {
-            writer.store(&Fingerprint(i), &[summary(&format!("p{i}"))], &NullScopes);
+            writer.store(&Fingerprint(i), &entry(&[&format!("p{i}")]), &NullScopes);
         }
         // Nothing is older than an hour: the age pass removes nothing.
         assert_eq!(store.gc(Some(Duration::from_secs(3600)), None), 0);
@@ -354,7 +383,7 @@ mod tests {
 
         // Byte cap: refill, then shrink to a cap below the total.
         for i in 0..4u128 {
-            writer.store(&Fingerprint(i), &[summary(&format!("p{i}"))], &NullScopes);
+            writer.store(&Fingerprint(i), &entry(&[&format!("p{i}")]), &NullScopes);
         }
         let total = store.disk_bytes();
         assert!(total > 0);

@@ -8,8 +8,7 @@
 //! rendezvous hashing: each key deterministically picks one owner, so the
 //! fleet shares one logical cache without coordination.
 
-use super::load_histogram;
-use crate::analysis::ProcedureSummary;
+use super::{load_histogram, ComponentEntry};
 use crate::cache::{decode_entry, ScopeResolver};
 use chora_ir::Fingerprint;
 use chora_server::client::{Client, ClientConfig};
@@ -222,13 +221,13 @@ fn rendezvous_score(addr: &str, key: &Fingerprint) -> u64 {
 }
 
 impl RemoteStore {
-    /// The decoded summaries under `key` from its owner, with the raw
-    /// text for adoption into the local tiers.
+    /// The decoded entry under `key` from its owner, with the raw text for
+    /// adoption into the local tiers.
     pub(super) fn load(
         &self,
         key: &Fingerprint,
         scopes: &dyn ScopeResolver,
-    ) -> Option<(String, Vec<ProcedureSummary>)> {
+    ) -> Option<(String, ComponentEntry)> {
         let Some(target) = self.owner(key) else {
             self.skipped.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -240,9 +239,9 @@ impl RemoteStore {
         };
         let result = match self.with_client(target, |client| client.get(&path)) {
             Ok((200, body)) => match decode_entry(&body, key, scopes) {
-                Some(summaries) => {
+                Some(entry) => {
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    Some((body, summaries))
+                    Some((body, entry))
                 }
                 None => {
                     self.corrupt.fetch_add(1, Ordering::Relaxed);

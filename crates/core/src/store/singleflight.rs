@@ -19,8 +19,7 @@
 //! multiple of that bound are presumed abandoned and stolen, so a crashed
 //! leader degrades to a stall, never a hang.
 
-use super::SummaryStore;
-use crate::analysis::ProcedureSummary;
+use super::{ComponentEntry, SummaryStore};
 use crate::cache::ScopeResolver;
 use chora_ir::Fingerprint;
 use std::collections::HashMap;
@@ -147,9 +146,9 @@ fn release_hold(state: &mut FlightState, group: u64) {
 }
 
 impl<S: SummaryStore> SummaryStore for SingleFlight<S> {
-    fn load(&self, key: &Fingerprint, scopes: &dyn ScopeResolver) -> Option<Vec<ProcedureSummary>> {
-        if let Some(summaries) = self.inner.load(key, scopes) {
-            return Some(summaries);
+    fn load(&self, key: &Fingerprint, scopes: &dyn ScopeResolver) -> Option<ComponentEntry> {
+        if let Some(entry) = self.inner.load(key, scopes) {
+            return Some(entry);
         }
         let group = scopes.flight_group();
         let deadline = Instant::now() + self.wait_timeout;
@@ -202,9 +201,9 @@ impl<S: SummaryStore> SummaryStore for SingleFlight<S> {
                     // The lease was released: the leader stored (adopt its
                     // result) or abandoned (become the leader ourselves).
                     drop(state);
-                    if let Some(summaries) = self.inner.load(key, scopes) {
+                    if let Some(entry) = self.inner.load(key, scopes) {
                         self.wait_hits.fetch_add(1, Ordering::Relaxed);
-                        return Some(summaries);
+                        return Some(entry);
                     }
                     state = self.state.lock().expect("single-flight state lock");
                 }
@@ -212,10 +211,10 @@ impl<S: SummaryStore> SummaryStore for SingleFlight<S> {
         }
     }
 
-    fn store(&self, key: &Fingerprint, summaries: &[ProcedureSummary], scopes: &dyn ScopeResolver) {
+    fn store(&self, key: &Fingerprint, entry: &ComponentEntry, scopes: &dyn ScopeResolver) {
         // Inner store strictly first: a waiter woken by the lease release
         // must find the entry on its re-probe.
-        self.inner.store(key, summaries, scopes);
+        self.inner.store(key, entry, scopes);
         let mut state = self.state.lock().expect("single-flight state lock");
         if let Some(lease) = state.leases.remove(key) {
             release_hold(&mut state, lease.group);
@@ -230,7 +229,7 @@ impl<S: SummaryStore> SummaryStore for SingleFlight<S> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::{memory_store, summary};
+    use super::super::testutil::{entry, memory_store};
     use super::*;
     use crate::cache::NullScopes;
 
@@ -285,9 +284,9 @@ mod tests {
                 "herd never parked: {:?}",
                 flight.counters()
             );
-            flight.store(&key, &[summary("f")], &NullScopes);
+            flight.store(&key, &entry(&["f"]), &NullScopes);
             for waiter in herd {
-                assert_eq!(waiter.join().expect("no panic")[0].name, "f");
+                assert_eq!(waiter.join().expect("no panic").summaries[0].name, "f");
             }
         });
         let c = flight.counters();
@@ -326,7 +325,7 @@ mod tests {
         assert!(flight.load(&k1, &run_b).is_none(), "refused, not parked");
         assert_eq!(flight.counters().refused, 1);
         // Once B's fold stores k2, B holds nothing again.
-        flight.store(&k2, &[summary("g")], &run_b);
+        flight.store(&k2, &entry(&["g"]), &run_b);
         let state = flight.state.lock().expect("state lock");
         assert_eq!(
             state.held_by_group.get(&2),
@@ -360,7 +359,7 @@ mod tests {
         assert!(flight.load(&key, &NullScopes).is_none(), "stolen lease");
         assert_eq!(flight.counters().leads, 2);
         // The thief's store releases the (stolen) lease normally.
-        flight.store(&key, &[summary("h")], &NullScopes);
+        flight.store(&key, &entry(&["h"]), &NullScopes);
         assert!(flight.load(&key, &NullScopes).is_some());
     }
 
@@ -368,7 +367,7 @@ mod tests {
     fn hits_bypass_the_flight_machinery() {
         let flight = SingleFlight::new(memory_store());
         let key = Fingerprint(5);
-        flight.store(&key, &[summary("f")], &NullScopes);
+        flight.store(&key, &entry(&["f"]), &NullScopes);
         assert!(flight.load(&key, &NullScopes).is_some());
         assert_eq!(flight.counters(), FlightCounters::default());
     }

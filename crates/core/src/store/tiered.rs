@@ -4,8 +4,7 @@
 use super::disk::DiskStore;
 use super::lru::ShardedLru;
 use super::remote::RemoteStore;
-use super::{load_histogram, SummaryStore};
-use crate::analysis::ProcedureSummary;
+use super::{load_histogram, ComponentEntry, SummaryStore};
 use crate::cache::{decode_entry, encode_entry, ScopeResolver};
 use chora_ir::Fingerprint;
 use chora_telemetry::metrics::Histogram;
@@ -201,7 +200,7 @@ impl TieredStore {
 }
 
 impl SummaryStore for TieredStore {
-    fn load(&self, key: &Fingerprint, scopes: &dyn ScopeResolver) -> Option<Vec<ProcedureSummary>> {
+    fn load(&self, key: &Fingerprint, scopes: &dyn ScopeResolver) -> Option<ComponentEntry> {
         let started = Instant::now();
         // Decodes from the borrowed entry under the shard lock; an entry
         // that no longer decodes (memory was scribbled on) is evicted as
@@ -214,27 +213,27 @@ impl SummaryStore for TieredStore {
         if hit.is_some() {
             return hit;
         }
-        if let Some((text, summaries, age)) = self
+        if let Some((text, entry, age)) = self
             .disk
             .as_ref()
             .and_then(|d| d.load_validated(key, scopes))
         {
             self.put_mem(key, text, age);
-            return Some(summaries);
+            return Some(entry);
         }
-        if let Some((text, summaries)) = self.remote.as_ref().and_then(|r| r.load(key, scopes)) {
+        if let Some((text, entry)) = self.remote.as_ref().and_then(|r| r.load(key, scopes)) {
             if let Some(disk) = &self.disk {
                 disk.store_encoded(key, &text);
             }
             self.put_mem(key, text, None);
-            return Some(summaries);
+            return Some(entry);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         None
     }
 
-    fn store(&self, key: &Fingerprint, summaries: &[ProcedureSummary], scopes: &dyn ScopeResolver) {
-        let Some(encoded) = encode_entry(key, summaries, scopes) else {
+    fn store(&self, key: &Fingerprint, entry: &ComponentEntry, scopes: &dyn ScopeResolver) {
+        let Some(encoded) = encode_entry(key, entry, scopes) else {
             return;
         };
         self.put_mem(key, encoded.clone(), None);
@@ -263,7 +262,7 @@ impl SummaryStore for TieredStore {
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::{summary, temp_dir};
+    use super::super::testutil::{entry, temp_dir};
     use super::*;
     use crate::cache::NullScopes;
 
@@ -273,11 +272,17 @@ mod tests {
         let store = TieredStore::open(&root, TieredConfig::default()).expect("open");
         let key = Fingerprint(11);
         assert!(store.load(&key, &NullScopes).is_none());
-        store.store(&key, &[summary("f")], &NullScopes);
+        store.store(&key, &entry(&["f"]), &NullScopes);
         // First and every following load is a pure memory hit: the disk
         // tier was probed exactly once (the initial miss).
-        assert_eq!(store.load(&key, &NullScopes).expect("hit")[0].name, "f");
-        assert_eq!(store.load(&key, &NullScopes).expect("hit")[0].name, "f");
+        assert_eq!(
+            store.load(&key, &NullScopes).expect("hit").summaries[0].name,
+            "f"
+        );
+        assert_eq!(
+            store.load(&key, &NullScopes).expect("hit").summaries[0].name,
+            "f"
+        );
         let c = store.counters();
         assert_eq!(c.mem_hits, 2);
         assert_eq!(c.disk_probes, 1, "only the cold miss touched disk");
@@ -294,13 +299,16 @@ mod tests {
         // A different handle (think: another process) populated the disk.
         TieredStore::open(&root, TieredConfig::default())
             .expect("open")
-            .store(&key, &[summary("g")], &NullScopes);
+            .store(&key, &entry(&["g"]), &NullScopes);
         let store = TieredStore::open(&root, TieredConfig::default()).expect("open");
         assert_eq!(
-            store.load(&key, &NullScopes).expect("disk hit")[0].name,
+            store.load(&key, &NullScopes).expect("disk hit").summaries[0].name,
             "g"
         );
-        assert_eq!(store.load(&key, &NullScopes).expect("mem hit")[0].name, "g");
+        assert_eq!(
+            store.load(&key, &NullScopes).expect("mem hit").summaries[0].name,
+            "g"
+        );
         let c = store.counters();
         assert_eq!(c.disk_hits, 1);
         assert_eq!(c.mem_hits, 1);
@@ -321,7 +329,7 @@ mod tests {
                 shards: 1,
             },
         );
-        store.store(&Fingerprint(1), &[summary("a")], &NullScopes);
+        store.store(&Fingerprint(1), &entry(&["a"]), &NullScopes);
         let entry_bytes = store.counters().mem_bytes;
         let store = TieredStore::new(
             None,
@@ -332,11 +340,11 @@ mod tests {
                 shards: 1,
             },
         );
-        store.store(&Fingerprint(1), &[summary("a")], &NullScopes);
-        store.store(&Fingerprint(2), &[summary("b")], &NullScopes);
+        store.store(&Fingerprint(1), &entry(&["a"]), &NullScopes);
+        store.store(&Fingerprint(2), &entry(&["b"]), &NullScopes);
         // Touch 1 so 2 becomes the LRU victim.
         assert!(store.load(&Fingerprint(1), &NullScopes).is_some());
-        store.store(&Fingerprint(3), &[summary("c")], &NullScopes);
+        store.store(&Fingerprint(3), &entry(&["c"]), &NullScopes);
         let c = store.counters();
         assert_eq!(c.lru_evictions, 1);
         assert_eq!(c.mem_entries, 2);
@@ -363,7 +371,7 @@ mod tests {
         let key = Fingerprint(31);
         TieredStore::open(&root, TieredConfig::default())
             .expect("open")
-            .store(&key, &[summary("f")], &NullScopes);
+            .store(&key, &entry(&["f"]), &NullScopes);
         // Entry is ~35ms old by the time the tiered handle promotes it.
         std::thread::sleep(Duration::from_millis(35));
         let store = TieredStore::open(
@@ -402,7 +410,7 @@ mod tests {
         )
         .expect("open");
         let key = Fingerprint(21);
-        store.store(&key, &[summary("f")], &NullScopes);
+        store.store(&key, &entry(&["f"]), &NullScopes);
         assert!(store.load(&key, &NullScopes).is_some(), "fresh entry hits");
         std::thread::sleep(Duration::from_millis(60));
         assert!(
@@ -413,7 +421,7 @@ mod tests {
         assert!(c.age_evictions >= 1, "expiry must be counted: {c:?}");
         assert_eq!(c.corrupt_evictions, 0);
         // gc() sweeps the disk tier too: after it, the directory is empty.
-        store.store(&key, &[summary("f")], &NullScopes);
+        store.store(&key, &entry(&["f"]), &NullScopes);
         std::thread::sleep(Duration::from_millis(60));
         store.gc();
         assert_eq!(store.disk().expect("disk tier").disk_bytes(), 0);
@@ -431,7 +439,7 @@ mod tests {
         let key = Fingerprint(51);
         TieredStore::open(&root, config)
             .expect("open")
-            .store(&key, &[summary("f")], &NullScopes);
+            .store(&key, &entry(&["f"]), &NullScopes);
         std::thread::sleep(Duration::from_millis(60));
         let store = TieredStore::open(&root, config).expect("open");
         assert!(store.load(&key, &NullScopes).is_none(), "expired on disk");
@@ -445,13 +453,16 @@ mod tests {
         let store = TieredStore::open(&root, TieredConfig::default()).expect("open");
         let key = Fingerprint(41);
         assert!(store.load_local_text(&key).is_none());
-        store.store(&key, &[summary("f")], &NullScopes);
+        store.store(&key, &entry(&["f"]), &NullScopes);
         let text = store.load_local_text(&key).expect("stored entry");
         assert_eq!(crate::cache::entry_key(&text), Some(key));
         // A second store adopts the raw entry without decoding it.
         let other = TieredStore::new(None, None, TieredConfig::default());
         other.store_local_text(&key, &text);
-        assert_eq!(other.load(&key, &NullScopes).expect("adopted")[0].name, "f");
+        assert_eq!(
+            other.load(&key, &NullScopes).expect("adopted").summaries[0].name,
+            "f"
+        );
         // Adoption is not an analysis-facing store: the counter that
         // feeds CacheStats must not move.
         assert_eq!(other.counters().stores, 0);

@@ -27,7 +27,8 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 /// to the weak join only when its Balas system alone is larger.  On one
 /// jobs-1 pass over the paper's suites the budget drops rows 24 times, all
 /// inside hull eliminations (16 on ackermann, 8 on Ackermann01), and no
-/// join falls back.
+/// join falls back; `chora_logic::stats` counts the drops as
+/// `budget_drops`.
 const FM_CONSTRAINT_BUDGET: usize = 600;
 
 /// A conjunction of polynomial constraint [`Atom`]s.
@@ -1609,6 +1610,7 @@ fn eliminate_rows<E: RowExpr>(
     if pos.len() * neg.len() + store.live > FM_CONSTRAINT_BUDGET {
         // Over-approximate: drop every row involving d (the pre-existing
         // budget fallback).
+        store.stats.budget_drops += 1;
         return Ok(false);
     }
     'combine: for (p, pc) in &pos {

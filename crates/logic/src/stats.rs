@@ -11,10 +11,14 @@
 //! ([`crate::EmptinessMemo`]) answered, and how many a simplex witness
 //! answered "non-empty" — the last two without eliminating.  A pass
 //! buffers its row counts and publishes them when it ends, so a pass that
-//! reruns counts its rows once.  The counters are process-wide relaxed
-//! atomics, mirroring `chora_numeric::stats`, and [`register_metrics`]
-//! publishes the same cells into the [`chora_telemetry::metrics`] registry
-//! as `chora_fm_*` series for the `/v1/metrics` scrape.
+//! reruns counts its rows once.  One counter is a precision loss rather
+//! than work: `budget_drops`, the elimination steps whose pos×neg
+//! combinations would have passed the constraint budget, so they dropped
+//! every row of their dimension instead (a sound over-approximation).  The
+//! counters are process-wide relaxed atomics, mirroring
+//! `chora_numeric::stats`, and [`register_metrics`] publishes the same
+//! cells into the [`chora_telemetry::metrics`] registry as `chora_fm_*`
+//! series for the `/v1/metrics` scrape.
 //!
 //! The elimination arithmetic itself runs on machine-integer rows and does
 //! not show in `chora_numeric::stats`: only a rerun pass, and the
@@ -51,6 +55,10 @@ pub struct FmStats {
     /// Projection passes rerun on rational rows because a value did not
     /// fit a machine-integer row (found in the input or mid-pass).
     pub overflow_restarts: u64,
+    /// Elimination steps that dropped every row of their dimension because
+    /// the pos×neg combinations, with the rows left alone, would have
+    /// passed the constraint budget: each one may lose facts.
+    pub budget_drops: u64,
 }
 
 pub(crate) static ROWS_GENERATED: AtomicU64 = AtomicU64::new(0);
@@ -63,6 +71,7 @@ pub(crate) static EMPTINESS_CHECKS: AtomicU64 = AtomicU64::new(0);
 pub(crate) static EMPTINESS_MEMO_HITS: AtomicU64 = AtomicU64::new(0);
 pub(crate) static EMPTINESS_WITNESSES: AtomicU64 = AtomicU64::new(0);
 pub(crate) static OVERFLOW_RESTARTS: AtomicU64 = AtomicU64::new(0);
+pub(crate) static BUDGET_DROPS: AtomicU64 = AtomicU64::new(0);
 
 /// Reads the current counter values.
 pub fn snapshot() -> FmStats {
@@ -77,6 +86,7 @@ pub fn snapshot() -> FmStats {
         emptiness_memo_hits: EMPTINESS_MEMO_HITS.load(Ordering::Relaxed),
         emptiness_witnesses: EMPTINESS_WITNESSES.load(Ordering::Relaxed),
         overflow_restarts: OVERFLOW_RESTARTS.load(Ordering::Relaxed),
+        budget_drops: BUDGET_DROPS.load(Ordering::Relaxed),
     }
 }
 
@@ -92,6 +102,7 @@ pub fn reset() {
     EMPTINESS_MEMO_HITS.store(0, Ordering::Relaxed);
     EMPTINESS_WITNESSES.store(0, Ordering::Relaxed);
     OVERFLOW_RESTARTS.store(0, Ordering::Relaxed);
+    BUDGET_DROPS.store(0, Ordering::Relaxed);
 }
 
 /// Adds a pass's buffered increments to the counters (`max_width` as a
@@ -108,6 +119,7 @@ pub(crate) fn publish(delta: &FmStats) {
         emptiness_memo_hits,
         emptiness_witnesses,
         overflow_restarts,
+        budget_drops,
     } = *delta;
     for (counter, n) in [
         (&ROWS_GENERATED, rows_generated),
@@ -119,6 +131,7 @@ pub(crate) fn publish(delta: &FmStats) {
         (&EMPTINESS_MEMO_HITS, emptiness_memo_hits),
         (&EMPTINESS_WITNESSES, emptiness_witnesses),
         (&OVERFLOW_RESTARTS, overflow_restarts),
+        (&BUDGET_DROPS, budget_drops),
     ] {
         if n != 0 {
             counter.fetch_add(n, Ordering::Relaxed);
@@ -184,6 +197,11 @@ pub fn register_metrics() {
             "chora_fm_overflow_restarts_total",
             "FM projection passes rerun on rational rows after a machine-integer overflow.",
             &OVERFLOW_RESTARTS,
+        );
+        registry.register_counter_static(
+            "chora_fm_budget_drops_total",
+            "FM elimination steps that dropped a dimension's rows to stay within the constraint budget.",
+            &BUDGET_DROPS,
         );
         registry.register_gauge_static(
             "chora_fm_max_width",

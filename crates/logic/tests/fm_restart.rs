@@ -36,6 +36,7 @@ fn delta(before: FmStats, after: FmStats) -> FmStats {
         emptiness_memo_hits: after.emptiness_memo_hits - before.emptiness_memo_hits,
         emptiness_witnesses: after.emptiness_witnesses - before.emptiness_witnesses,
         overflow_restarts: after.overflow_restarts - before.overflow_restarts,
+        budget_drops: after.budget_drops - before.budget_drops,
     }
 }
 

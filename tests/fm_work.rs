@@ -46,6 +46,7 @@ fn fm_work_of_one_suite_pass_is_pinned() {
             emptiness_memo_hits: 3_135,
             emptiness_witnesses: 1_965,
             overflow_restarts: 0,
+            budget_drops: 24,
         }
     );
 }
