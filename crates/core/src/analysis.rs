@@ -5,17 +5,16 @@
 //! by the intra-procedural analysis; recursive components go through
 //! height-based recurrence analysis (§4.1 / §4.4) and depth-bound analysis
 //! (§4.2), and their summaries combine the solved bounding functions with the
-//! depth bound as in Eqn. (4).  A final pass re-analyses each procedure body
-//! with the computed summaries to discharge assertions; a procedure whose
-//! component was a summary-store hit takes its verdicts from the store entry
-//! instead.
+//! depth bound as in Eqn. (4).  Once a component's summaries are published,
+//! its members' bodies are re-analysed with them to discharge their
+//! assertions; a component that hits the summary store takes its summaries
+//! and verdicts from the store entry instead.
 //!
 //! Scheduling is a dependency-counted ready queue over one merged task graph
-//! (components plus per-procedure assertion passes, across every program of a
-//! batch): a task becomes runnable the moment its callee components finish,
-//! with no barrier between topological levels, and results are folded back in
-//! a fixed canonical order so the output is byte-identical for every worker
-//! count.
+//! (one task per component, across every program of a batch): a task becomes
+//! runnable the moment its callee components finish, with no barrier between
+//! topological levels, and results are folded back in a fixed canonical
+//! order so the output is byte-identical for every worker count.
 
 use crate::cache::ComponentScopes;
 use crate::complexity::term_to_polynomial;
@@ -34,7 +33,6 @@ use chora_telemetry::trace;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::ControlFlow;
 use std::sync::OnceLock;
-use std::time::Instant;
 
 /// Analysis configuration (used for ablation experiments).
 #[derive(Clone, Debug)]
@@ -45,10 +43,10 @@ pub struct AnalysisConfig {
     /// Whether polynomial closed forms are pushed back into the polyhedral
     /// summary formula (improves assertion checking).
     pub enable_polynomial_facts: bool,
-    /// Number of worker threads pulling analysis tasks (component
-    /// summarizations and per-procedure assertion passes) off the shared
-    /// ready queue; a task is enqueued as soon as the components it calls
-    /// into have finished.  `1` means fully sequential; `0` means one
+    /// Number of worker threads pulling analysis tasks (one per component:
+    /// summarize it, then check its members' asserts) off the shared ready
+    /// queue; a task is enqueued as soon as the components it calls into
+    /// have finished.  `1` means fully sequential; `0` means one
     /// worker per available core.  The analysis result is identical for
     /// every value — scheduling only affects wall-clock time.
     pub jobs: usize,
@@ -109,7 +107,9 @@ pub struct AssertionResult {
 ///
 /// Durations are summed across worker tasks (so with `--jobs N` they read
 /// as CPU time, not elapsed time); `parse` is not included because parsing
-/// happens in the front end, before the analyzer runs.
+/// happens in the front end, before the analyzer runs.  Each column is the
+/// sum of its trace spans' durations (`summarize` spans for the first two,
+/// `check` spans for the third), read off the same clock.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseTimings {
     /// Intra-procedural summarization of the non-recursive components
@@ -118,8 +118,9 @@ pub struct PhaseTimings {
     /// The recursive components: height-based recurrence extraction and
     /// solving, depth-bound analysis and the summaries built from them.
     pub solve_ms: f64,
-    /// The assertion-checking pass (zero for the procedures whose verdicts a
-    /// store hit restored).
+    /// Assertion checking: one `check` span per summarized component, which
+    /// checks the asserts of all its members (zero for the components whose
+    /// verdicts a store hit restored).
     pub check_ms: f64,
 }
 
@@ -222,17 +223,16 @@ impl Analyzer {
             .expect("a batch of one yields one result")
     }
 
-    /// Analyses several programs as **one scheduling problem**: every
-    /// component task and every per-procedure assertion task of every
-    /// program goes into a single dependency-counted ready queue drained by
-    /// [`AnalysisConfig::jobs`] workers.  A task's dependencies are exactly
-    /// the callee components it needs summaries from (an assertion pass
-    /// needs only the component containing its procedure), so workers flow
-    /// across program and level boundaries alike — one program's slow
-    /// deep-chain component no longer holds up another's independent work,
-    /// and assertion checking starts while unrelated components are still
-    /// summarizing.  That is what makes `/v1/batch` faster than N
-    /// independent runs.
+    /// Analyses several programs as **one scheduling problem**: the task of
+    /// every component of every program goes into a single
+    /// dependency-counted ready queue drained by [`AnalysisConfig::jobs`]
+    /// workers.  A task's dependencies are exactly the callee components it
+    /// needs summaries from — for its summaries and for its members'
+    /// assertion checks alike — so workers flow across program and level
+    /// boundaries: one program's slow deep-chain component no longer holds
+    /// up another's independent work, and a component's asserts are checked
+    /// while unrelated components are still summarizing.  That is what
+    /// makes `/v1/batch` faster than N independent runs.
     ///
     /// Per-program scope assignment, summary-table fold order, and cache
     /// keys are exactly those of [`Analyzer::analyze_with_store`] run on
@@ -255,8 +255,16 @@ impl Analyzer {
     /// The ready-queue driver behind [`Analyzer::analyze_batch_with_store`],
     /// with `recursive` as the step that summarizes each recursive
     /// component.  Everything else (non-recursive components, cache
-    /// probes and writes, assertion passes, scope assignment and the fold)
+    /// probes and writes, assertion checks, scope assignment and the fold)
     /// is the same for every step.
+    ///
+    /// There is one task per component, and its output is the
+    /// [`ComponentEntry`] the fold stores.  It probes the store first: a
+    /// hit's output is the stored entry, unchanged, with zero phase times.
+    /// On a miss it summarizes the component, publishes the members'
+    /// summaries, and then checks every member's asserts in program order.
+    /// The fold runs in task-id order and then sorts each program's
+    /// verdicts back into program order.
     pub(crate) fn drive(
         &self,
         programs: &[&Program],
@@ -277,10 +285,10 @@ impl Analyzer {
         let flight_group = crate::cache::next_flight_group();
         let jobs = self.effective_jobs();
         // Scopes are assigned per program, by bottom-up component order
-        // (then by procedure order for the assertion pass), identically for
-        // every schedule — and independently of cache hits and of the other
-        // batch members, so each program's symbols are exactly the ones a
-        // solo run would have created.
+        // (then by procedure order for the assertion checks), identically
+        // for every schedule — and independently of cache hits and of the
+        // other batch members, so each program's symbols are exactly the
+        // ones a solo run would have created.
         let mut runs: Vec<ProgramRun<'_>> = programs
             .iter()
             .map(|&program| {
@@ -312,64 +320,48 @@ impl Analyzer {
                     summarizer: Summarizer::new(program),
                     level_scope_base,
                     assert_scope_base: next_scope,
-                    restored: program.procedures.iter().map(|_| OnceLock::new()).collect(),
                     result: AnalysisResult::default(),
                 }
             })
             .collect();
-        // The merged task graph.  Task ids follow the canonical fold order —
-        // component tasks level-major then program-major (the order the old
-        // level-barrier scheduler folded in), then one assertion task per
-        // procedure, program-major.  That order is topological (a component's
-        // callees sit at strictly lower levels; an assertion task's one
-        // dependency is a component), which is what lets the sequential
-        // `jobs == 1` path simply run tasks in id order.
+        // The merged task graph, one task per component.  Task ids follow
+        // the canonical fold order — level-major, then program-major (the
+        // order the old level-barrier scheduler folded in).  That order is
+        // topological (a component's callees sit at strictly lower
+        // levels), which is what lets the sequential `jobs == 1` path
+        // simply run tasks in id order.
         let rounds = runs.iter().map(|r| r.levels.len()).max().unwrap_or(0);
         let mut tasks: Vec<Task> = Vec::new();
         for level in 0..rounds {
             for (p, run) in runs.iter().enumerate() {
                 let n = run.levels.get(level).map_or(0, Vec::len);
-                tasks.extend((0..n).map(|index| Task::Component { p, level, index }));
+                tasks.extend((0..n).map(|index| Task { p, level, index }));
             }
         }
-        let component_tasks = tasks.len();
-        for (p, run) in runs.iter().enumerate() {
-            let n = run.program.procedures.len();
-            tasks.extend((0..n).map(|proc_index| Task::Assert { p, proc_index }));
-        }
-        // Per program: which component task owns each procedure.
+        // Per program: which task owns each procedure.
         let mut comp_task: Vec<HashMap<&str, usize>> =
             runs.iter().map(|_| HashMap::new()).collect();
-        for (t, task) in tasks[..component_tasks].iter().enumerate() {
-            let Task::Component { p, level, index } = *task else {
-                unreachable!("assertion tasks come after the component tasks");
-            };
-            for member in &runs[p].levels[level][index].members {
-                comp_task[p].insert(member.as_str(), t);
+        for (t, task) in tasks.iter().enumerate() {
+            for member in &runs[task.p].component(task).members {
+                comp_task[task.p].insert(member.as_str(), t);
             }
         }
         // Dependency edges: a component waits for the components its members
         // call into (self-calls excluded — recursion is resolved inside the
-        // component); an assertion pass waits only for the component holding
-        // its procedure, whose completion transitively covers the whole
-        // callee cone the body walk can look up.
+        // component).  Their completion covers the whole callee cone that
+        // the members' summaries and assertion checks can look up.
         let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); tasks.len()];
         let mut dep_count: Vec<usize> = vec![0; tasks.len()];
         for (t, task) in tasks.iter().enumerate() {
-            let deps: BTreeSet<usize> = match *task {
-                Task::Component { p, level, index } => runs[p].levels[level][index]
-                    .members
-                    .iter()
-                    .flat_map(|m| runs[p].callgraph.callees(m))
-                    .filter_map(|callee| comp_task[p].get(callee.as_str()).copied())
-                    .filter(|&d| d != t)
-                    .collect(),
-                Task::Assert { p, proc_index } => comp_task[p]
-                    .get(runs[p].program.procedures[proc_index].name.as_str())
-                    .copied()
-                    .into_iter()
-                    .collect(),
-            };
+            let run = &runs[task.p];
+            let deps: BTreeSet<usize> = run
+                .component(task)
+                .members
+                .iter()
+                .flat_map(|m| run.callgraph.callees(m))
+                .filter_map(|callee| comp_task[task.p].get(callee.as_str()).copied())
+                .filter(|&d| d != t)
+                .collect();
             dep_count[t] = deps.len();
             for d in deps {
                 debug_assert!(d < t, "task ids must be topologically ordered");
@@ -379,137 +371,80 @@ impl Analyzer {
         drop(plan_span);
         // Drain the graph.  Workers probe the store (loads — disk read,
         // decode, rescope, re-intern — run concurrently too), summarize on a
-        // miss, and publish summaries into the program's shared table (and a
-        // hit's verdicts into `restored`) before the scheduler releases any
-        // dependent task.  Store writes are deferred to the fold: probes
-        // therefore see exactly the entries the run started with,
-        // independent of scheduling (a task could never hit a same-run
-        // store anyway — an identical component has an identical cone,
-        // hence the same level and a same-round probe).
+        // miss, publish summaries into the program's shared table and check
+        // the members' asserts, all before the scheduler releases any
+        // dependent task.  Store writes are
+        // deferred to the fold: probes therefore see exactly the entries the
+        // run started with, independent of scheduling (a task could never
+        // hit a same-run store anyway — an identical component has an
+        // identical cone, hence the same level and a same-round probe).
         let runs_ref = &runs;
-        let tasks_ref = &tasks;
-        let outputs = run_ready_queue(jobs, &dependents, dep_count, |t| match tasks_ref[t] {
-            Task::Component { p, level, index } => {
-                let run = &runs_ref[p];
-                let component = &run.levels[level][index];
-                let _task_span = trace::span_with("task", || match component.members.as_slice() {
-                    [one] => format!("component {one}"),
-                    members => format!("component {} (+{})", members[0], members.len() - 1),
-                });
-                let output = 'output: {
-                    if let (Some(store), Some(keys), Some(run_scopes)) =
-                        (store, &run.keys, &run.run_scopes)
-                    {
-                        let _load_span = trace::span("cache", "cache_load");
-                        let hit = store.load(&keys[level][index], run_scopes).filter(|entry| {
-                            entry.summaries.len() == component.members.len()
-                                && entry
-                                    .summaries
-                                    .iter()
-                                    .zip(&component.members)
-                                    .all(|(s, m)| &s.name == m)
-                        });
-                        if let Some(entry) = hit {
-                            // Each member's assertion task depends on this
-                            // one and returns these verdicts unwalked.
-                            for (i, proc) in run.program.procedures.iter().enumerate() {
-                                if component.members.contains(&proc.name) {
-                                    let verdicts = entry
-                                        .assertions
-                                        .iter()
-                                        .filter(|a| a.procedure == proc.name)
-                                        .cloned()
-                                        .collect();
-                                    let _ = run.restored[i].set(verdicts);
-                                }
-                            }
-                            break 'output ComponentOutput {
-                                summaries: entry.summaries,
-                                summarize_ms: 0.0,
-                                solve_ms: 0.0,
-                                cache_hit: true,
-                            };
-                        }
-                    }
-                    let scope = run.level_scope_base[level] + index as u32;
-                    summarize_component(&run.summarizer, component, scope, recursive)
+        let outputs = run_ready_queue(jobs, &dependents, dep_count, |t| {
+            let task = &tasks[t];
+            let run = &runs_ref[task.p];
+            let component = run.component(task);
+            let _task_span = trace::span_with("task", || match component.members.as_slice() {
+                [one] => format!("component {one}"),
+                members => format!("component {} (+{})", members[0], members.len() - 1),
+            });
+            if let Some(entry) = run.load(store, task) {
+                run.publish(&entry.summaries);
+                return ComponentOutput {
+                    entry,
+                    timings: PhaseTimings::default(),
+                    cache_hit: true,
                 };
-                for summary in &output.summaries {
-                    run.summarizer
-                        .insert_summary(summary.name.clone(), summary.formula.clone());
-                }
-                TaskOutput::Component(output)
             }
-            Task::Assert { p, proc_index } => {
-                let run = &runs_ref[p];
-                let proc = &run.program.procedures[proc_index];
-                let _task_span = trace::span_with("task", || format!("assert {}", proc.name));
-                if let Some(asserts) = run.restored[proc_index].get() {
-                    return TaskOutput::Assert {
-                        asserts: asserts.clone(),
-                        check_ms: 0.0,
-                    };
-                }
-                let _check_span = trace::span("phase", "check");
-                let started = Instant::now();
-                let fresh = FreshSource::new(run.assert_scope_base + proc_index as u32);
-                TaskOutput::Assert {
-                    asserts: check_asserts(&run.summarizer, proc, &fresh),
-                    check_ms: started.elapsed().as_secs_f64() * 1e3,
-                }
+            let scope = run.level_scope_base[task.level] + task.index as u32;
+            let (summaries, mut timings) =
+                summarize_component(&run.summarizer, component, scope, recursive);
+            // A member's asserts may call any member, so every summary is
+            // published before the first check.
+            run.publish(&summaries);
+            let check = trace::timed("phase", "check");
+            let assertions = run
+                .program
+                .procedures
+                .iter()
+                .enumerate()
+                .filter(|(_, proc)| component.members.contains(&proc.name))
+                .flat_map(|(i, proc)| {
+                    let fresh = FreshSource::new(run.assert_scope_base + i as u32);
+                    check_asserts(&run.summarizer, proc, &fresh)
+                })
+                .collect();
+            timings.check_ms = check.end().as_secs_f64() * 1e3;
+            ComponentOutput {
+                entry: ComponentEntry {
+                    summaries,
+                    assertions,
+                },
+                timings,
+                cache_hit: false,
             }
         });
         let _fold_span = trace::span("phase", "fold");
-        // Fold the outputs back in a fixed order — the assertion tasks, then
-        // the component tasks, each in task-id order, which per program is
-        // procedure order, then bottom-up component order — so counters,
-        // timing sums, store writes, and assertion lists come out exactly
-        // as a solo sequential run would produce them.  The verdicts come
-        // first because a component's store entry carries its members'.
-        let mut component_outputs = outputs;
-        let assert_outputs = component_outputs.split_off(component_tasks);
-        for (&task, output) in tasks[component_tasks..].iter().zip(assert_outputs) {
-            let (Task::Assert { p, .. }, TaskOutput::Assert { asserts, check_ms }) = (task, output)
-            else {
-                unreachable!("assertion tasks come after the component tasks");
-            };
-            runs[p].result.assertions.extend(asserts);
-            runs[p].result.timings.check_ms += check_ms;
-        }
-        for (&task, output) in tasks.iter().zip(component_outputs) {
-            let (Task::Component { p, level, index }, TaskOutput::Component(output)) =
-                (task, output)
-            else {
-                unreachable!("component tasks come first");
-            };
-            let run = &mut runs[p];
-            let mut summaries = output.summaries;
+        // Fold the outputs back in task-id order, which per program is
+        // bottom-up component order, so counters, timing sums and store
+        // writes come out exactly as a solo sequential run would produce
+        // them.
+        for (task, output) in tasks.iter().zip(outputs) {
+            let run = &mut runs[task.p];
             if output.cache_hit {
                 run.result.cache.hits += 1;
-            } else {
-                run.result.cache.misses += store.is_some() as u64;
-                run.result.timings.summarize_ms += output.summarize_ms;
-                run.result.timings.solve_ms += output.solve_ms;
-                if let (Some(store), Some(keys), Some(run_scopes)) =
-                    (store, &run.keys, &run.run_scopes)
-                {
-                    let _store_span = trace::span("cache", "cache_store");
-                    let members = &run.levels[level][index].members;
-                    let entry = ComponentEntry {
-                        summaries,
-                        assertions: run
-                            .result
-                            .assertions
-                            .iter()
-                            .filter(|a| members.contains(&a.procedure))
-                            .cloned()
-                            .collect(),
-                    };
-                    store.store(&keys[level][index], &entry, run_scopes);
-                    summaries = entry.summaries;
-                }
+            } else if let (Some(store), Some(keys), Some(run_scopes)) =
+                (store, &run.keys, &run.run_scopes)
+            {
+                run.result.cache.misses += 1;
+                let _store_span = trace::span("cache", "cache_store");
+                store.store(&keys[task.level][task.index], &output.entry, run_scopes);
             }
-            for summary in summaries {
+            let timings = &mut run.result.timings;
+            timings.summarize_ms += output.timings.summarize_ms;
+            timings.solve_ms += output.timings.solve_ms;
+            timings.check_ms += output.timings.check_ms;
+            run.result.assertions.extend(output.entry.assertions);
+            for summary in output.entry.summaries {
                 run.result.summaries.insert(summary.name.clone(), summary);
             }
         }
@@ -524,6 +459,13 @@ impl Analyzer {
         let gc_evictions = gc_evictions_after.saturating_sub(gc_evictions_before);
         runs.into_iter()
             .map(|mut run| {
+                // The fold left a callee's verdicts before its callers'; the
+                // stable sort restores program order and keeps each
+                // procedure's body order.
+                let procedures = &run.program.procedures;
+                run.result
+                    .assertions
+                    .sort_by_cached_key(|a| procedures.iter().position(|p| p.name == a.procedure));
                 if store.is_some() {
                     run.result.cache.evictions = evictions;
                     run.result.cache.gc_evictions = gc_evictions;
@@ -680,26 +622,25 @@ impl Analyzer {
 pub(crate) type RecursiveStep<'s> =
     dyn Fn(&Summarizer<'_>, &[String], &FreshSource) -> Vec<ProcedureSummary> + Sync + 's;
 
-/// Summarizes one strongly connected component (the body of a component
+/// Summarizes one strongly connected component (the first step of its
 /// task): each member of a non-recursive component directly, a recursive
-/// component by `recursive`, whose time counts as the solve phase.
+/// component by `recursive`, whose time counts as the solve phase.  Both
+/// are timed by the component's `summarize` span.
 fn summarize_component(
     summarizer: &Summarizer<'_>,
     component: &Component,
     scope: u32,
     recursive: &RecursiveStep<'_>,
-) -> ComponentOutput {
-    let _span = trace::span("phase", "summarize");
-    let started = Instant::now();
+) -> (Vec<ProcedureSummary>, PhaseTimings) {
+    let span = trace::timed("phase", "summarize");
     let fresh = FreshSource::new(scope);
     if component.recursive {
         let summaries = recursive(summarizer, &component.members, &fresh);
-        return ComponentOutput {
-            summaries,
-            summarize_ms: 0.0,
-            solve_ms: started.elapsed().as_secs_f64() * 1e3,
-            cache_hit: false,
+        let timings = PhaseTimings {
+            solve_ms: span.end().as_secs_f64() * 1e3,
+            ..PhaseTimings::default()
         };
+        return (summaries, timings);
     }
     let program = summarizer.program();
     let summaries = component
@@ -714,12 +655,11 @@ fn summarize_component(
             recursive: false,
         })
         .collect();
-    ComponentOutput {
-        summaries,
-        summarize_ms: started.elapsed().as_secs_f64() * 1e3,
-        solve_ms: 0.0,
-        cache_hit: false,
-    }
+    let timings = PhaseTimings {
+        summarize_ms: span.end().as_secs_f64() * 1e3,
+        ..PhaseTimings::default()
+    };
+    (summaries, timings)
 }
 
 /// Checks every assertion of `proc` against the formula reaching it, with
@@ -804,46 +744,64 @@ struct ProgramRun<'p> {
     /// Scope of component `i` of level `l` is `level_scope_base[l] + i` —
     /// the value a solo run's running `next_scope` counter would assign.
     level_scope_base: Vec<u32>,
-    /// First scope of the assertion pass: the program's component count.
+    /// Scope of the assertion checks of procedure `i` is
+    /// `assert_scope_base + i`; the base is the program's component count.
     assert_scope_base: u32,
-    /// Per procedure, in program order: the verdicts a store hit on its
-    /// component restored, which its assertion task returns instead of
-    /// walking the body.
-    restored: Vec<OnceLock<Vec<AssertionResult>>>,
     result: AnalysisResult,
 }
 
-/// The output of one component task: summaries restored from the cache
-/// (`cache_hit`, zero phase time) or freshly computed.
+impl ProgramRun<'_> {
+    /// The component `task` summarizes.
+    fn component(&self, task: &Task) -> &Component {
+        &self.levels[task.level][task.index]
+    }
+
+    /// The store's entry for `task`'s component, if it has one whose
+    /// summaries name the component's members in order.
+    fn load(&self, store: Option<&dyn SummaryStore>, task: &Task) -> Option<ComponentEntry> {
+        let (Some(store), Some(keys), Some(run_scopes)) = (store, &self.keys, &self.run_scopes)
+        else {
+            return None;
+        };
+        let _load_span = trace::span("cache", "cache_load");
+        let members = &self.component(task).members;
+        store
+            .load(&keys[task.level][task.index], run_scopes)
+            .filter(|entry| {
+                entry.summaries.len() == members.len()
+                    && entry
+                        .summaries
+                        .iter()
+                        .zip(members)
+                        .all(|(s, m)| &s.name == m)
+            })
+    }
+
+    /// Publishes summaries into the shared table, where dependent tasks and
+    /// the component's own assertion checks look them up.
+    fn publish(&self, summaries: &[ProcedureSummary]) {
+        for summary in summaries {
+            self.summarizer
+                .insert_summary(summary.name.clone(), summary.formula.clone());
+        }
+    }
+}
+
+/// The output of one component task: the store entry of the component
+/// (restored by a hit, or computed), its phase times (zero on a hit), and
+/// whether it was a hit.
 struct ComponentOutput {
-    summaries: Vec<ProcedureSummary>,
-    summarize_ms: f64,
-    solve_ms: f64,
+    entry: ComponentEntry,
+    timings: PhaseTimings,
     cache_hit: bool,
 }
 
-/// One schedulable unit of the merged batch: summarize (or cache-restore)
-/// one component, or check the assertions of one procedure.
-#[derive(Clone, Copy)]
-enum Task {
-    Component {
-        p: usize,
-        level: usize,
-        index: usize,
-    },
-    Assert {
-        p: usize,
-        proc_index: usize,
-    },
-}
-
-/// The result of one [`Task`], folded back in task-id order.
-enum TaskOutput {
-    Component(ComponentOutput),
-    Assert {
-        asserts: Vec<AssertionResult>,
-        check_ms: f64,
-    },
+/// One schedulable unit of the merged batch: component `index` of level
+/// `level` of program `p`.
+struct Task {
+    p: usize,
+    level: usize,
+    index: usize,
 }
 
 /// Process-wide analysis/scheduler metrics, registered with the telemetry
@@ -874,7 +832,7 @@ fn analysis_metrics() -> &'static AnalysisMetrics {
             ),
             tasks: registry.counter(
                 "chora_scheduler_tasks_total",
-                "Scheduler tasks executed (component summarizations and assertion passes).",
+                "Scheduler tasks executed (one per component of each analyzed program).",
             ),
             queue_wait: registry.histogram(
                 "chora_scheduler_queue_wait_ms",
@@ -1144,6 +1102,68 @@ mod tests {
     fn same_analysis(a: &AnalysisResult, b: &AnalysisResult) {
         assert_eq!(a.summaries, b.summaries);
         assert_eq!(a.assertions, b.assertions);
+    }
+
+    #[test]
+    fn verdicts_stay_in_program_order_across_components() {
+        // `main` is declared first and calls `helper`, so `helper`'s
+        // component is summarized, and its assert checked, first.
+        let trivial = |label: &str| {
+            Stmt::Assert(
+                Cond::ge(Expr::var("cost"), Expr::int(0)).or(Cond::Nondet),
+                label.to_string(),
+            )
+        };
+        let mut program = Program::new();
+        program.add_global("cost");
+        program.add_procedure(Procedure::new(
+            "main",
+            &["n"],
+            &[],
+            Stmt::seq(vec![
+                trivial("main-1"),
+                Stmt::call("helper", vec![Expr::var("n")]),
+                trivial("main-2"),
+            ]),
+        ));
+        program.add_procedure(Procedure::new(
+            "helper",
+            &["n"],
+            &[],
+            Stmt::seq(vec![
+                Stmt::assign("cost", Expr::var("cost").add(Expr::int(1))),
+                trivial("helper-1"),
+            ]),
+        ));
+        let mut runs = Vec::new();
+        for jobs in [1, 4] {
+            let analyzer = Analyzer::with_config(AnalysisConfig {
+                jobs,
+                ..AnalysisConfig::default()
+            });
+            let store = memory_store();
+            runs.push(analyzer.analyze(&program));
+            runs.push(analyzer.analyze_with_store(&program, Some(&store)));
+            let warm = analyzer.analyze_with_store(&program, Some(&store));
+            assert_eq!(warm.cache.hits, 2, "jobs={jobs}: {}", warm.cache);
+            runs.push(warm);
+        }
+        let order: Vec<(&str, &str)> = runs[0]
+            .assertions
+            .iter()
+            .map(|a| (a.procedure.as_str(), a.label.as_str()))
+            .collect();
+        assert_eq!(
+            order,
+            [
+                ("main", "main-1"),
+                ("main", "main-2"),
+                ("helper", "helper-1")
+            ]
+        );
+        for run in &runs[1..] {
+            same_analysis(run, &runs[0]);
+        }
     }
 
     #[test]

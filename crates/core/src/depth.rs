@@ -16,7 +16,7 @@
 //! last such call.
 
 use crate::lower::lower_expr;
-use crate::summarize::{Summarizer, Visit};
+use crate::summarize::{decreasing_ranking, Summarizer, Visit};
 use chora_expr::{FreshSource, Polynomial, Symbol, Term};
 use chora_ir::{Procedure, Stmt};
 use chora_logic::{Atom, Polyhedron, TransitionFormula};
@@ -85,41 +85,19 @@ pub fn depth_bound(
             }
         }
     }
-    let prime = |poly: &Polynomial| {
-        poly.rename(&mut |s| {
-            if params.contains(s) {
-                s.primed()
-            } else {
-                *s
-            }
-        })
-    };
     // Division-by-constant descent first (tighter bound).
     for r in &candidates {
-        let r_post = prime(r);
+        let r_post = r.rename(&mut |s| if params.contains(s) { s.primed() } else { *s });
         let halves = hull.implies_atom(&Atom::le(r_post.scale(&BigRational::from(2)), r.clone()));
         let stays_large = hull.implies_atom(&Atom::ge(r.clone(), Polynomial::one()));
         if halves && stays_large {
             return Some(DepthBound::Logarithmic(polynomial_to_term(r)));
         }
     }
-    // Decrement-by-constant descent.
-    for r in &candidates {
-        let r_post = prime(r);
-        let decreases = hull.implies_atom(&Atom::le(r_post, r - &Polynomial::one()));
-        if !decreases {
-            continue;
-        }
-        for lo in [1i64, 0] {
-            let lo_poly = Polynomial::constant(BigRational::from(lo));
-            if hull.implies_atom(&Atom::ge(r.clone(), lo_poly)) {
-                // H ≤ r(σ) − lo + 2
-                let bound = Term::add(vec![polynomial_to_term(r), Term::int(2 - lo)]);
-                return Some(DepthBound::Linear(bound));
-            }
-        }
-    }
-    None
+    // Decrement-by-constant descent: H ≤ r(σ) − lo + 2.
+    let (r, lo) = decreasing_ranking(&hull, &params, &candidates)?;
+    let bound = Term::add(vec![polynomial_to_term(r), Term::int(2 - lo)]);
+    Some(DepthBound::Linear(bound))
 }
 
 /// The descent relation of a procedure: the union, over every reachable call

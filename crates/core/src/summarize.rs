@@ -564,28 +564,37 @@ impl<'a> Summarizer<'a> {
                 }
             }
         }
-        for r in candidates {
-            let r_post = r.rename(&mut |s| {
-                if vars.contains(s) {
-                    s.primed()
-                } else {
-                    *s
-                }
-            });
-            let decreases = hull.implies_atom(&Atom::le(r_post.clone(), &r - &Polynomial::one()));
-            if !decreases {
-                continue;
-            }
-            for lo in [1i64, 0] {
-                let lo_poly = Polynomial::constant(BigRational::from(lo));
-                if hull.implies_atom(&Atom::ge(r.clone(), lo_poly.clone())) {
-                    // k ≤ r − lo + 1
-                    return Some(&(&r - &lo_poly) + &Polynomial::one());
-                }
+        let (r, lo) = decreasing_ranking(hull, vars, &candidates)?;
+        // k ≤ r − lo + 1
+        Some(&(r - &Polynomial::constant(BigRational::from(lo))) + &Polynomial::one())
+    }
+}
+
+/// The ranking search behind both the loop bound above and the decrement
+/// case of the depth bound ([`crate::depth::depth_bound`]): the first of
+/// `candidates` that every step of `hull` decreases by at least one
+/// (`r' ≤ r − 1`, with `vars` primed in `r'`) and that stays bounded below,
+/// together with that bound: `lo = 1` when `r ≥ 1` holds, else `lo = 0`
+/// when `r ≥ 0` does.  Each step then runs from `r ≥ lo`, so a chain of
+/// them is at most `r − lo + 1` long.
+pub(crate) fn decreasing_ranking<'c>(
+    hull: &Polyhedron,
+    vars: &[Symbol],
+    candidates: &'c [Polynomial],
+) -> Option<(&'c Polynomial, i64)> {
+    for r in candidates {
+        let r_post = r.rename(&mut |s| if vars.contains(s) { s.primed() } else { *s });
+        if !hull.implies_atom(&Atom::le(r_post, r - &Polynomial::one())) {
+            continue;
+        }
+        for lo in [1i64, 0] {
+            let lo_poly = Polynomial::constant(BigRational::from(lo));
+            if hull.implies_atom(&Atom::ge(r.clone(), lo_poly)) {
+                return Some((r, lo));
             }
         }
-        None
     }
+    None
 }
 
 /// `assume` of a lowered condition: the union of one assumption per

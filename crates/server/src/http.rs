@@ -20,8 +20,8 @@ use std::time::{Duration, Instant};
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Largest accepted request body (a `.imp` source file).
 pub const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
-/// How long a worker waits on one blocking I/O step (reading a body chunk,
-/// writing a response) before giving up on the connection.
+/// How long a worker waits on one blocking write of a response before
+/// giving up on the connection; also the default request deadline.
 pub const IO_TIMEOUT: Duration = Duration::from_secs(10);
 /// Slice length of the idle wait between keep-alive requests: short enough
 /// that a flagged shutdown closes idle connections promptly, long enough to
@@ -32,8 +32,9 @@ const IDLE_POLL: Duration = Duration::from_millis(100);
 /// by the connection loop).
 #[derive(Clone, Copy, Debug)]
 pub struct ConnLimits {
-    /// Total wall-clock allowed for one request head, counted from its
-    /// first byte (the slowloris guard); expiry is a 408 and a close.
+    /// Total wall-clock allowed for one whole request, head and body,
+    /// counted from its first byte (the slowloris guard); expiry is a 408
+    /// and a close.
     pub head_deadline: Duration,
     /// How long an idle keep-alive connection may wait for the next
     /// request before the server closes it.
@@ -141,8 +142,9 @@ impl Conn {
     }
 
     /// Reads the next request off the connection, enforcing the size
-    /// limits, the head deadline, and the idle timeout.  Answers
-    /// `Expect: 100-continue` inline so plain `curl` uploads work.
+    /// limits, the request deadline (head and body together), and the idle
+    /// timeout.  Answers `Expect: 100-continue` inline so plain `curl`
+    /// uploads work.
     ///
     /// `stop` is the server's shutdown flag: while the connection is idle
     /// (no request bytes buffered) a raised flag closes it immediately, so
@@ -150,7 +152,7 @@ impl Conn {
     pub fn next_request(&mut self, stop: &AtomicBool) -> Result<Next, HttpError> {
         let mut chunk = [0u8; 4096];
         let idle_started = Instant::now();
-        // The head deadline runs from the first byte of this request —
+        // The request deadline runs from the first byte of this request —
         // which may already be buffered from the previous read.
         let mut head_started: Option<Instant> = (!self.buf.is_empty()).then(Instant::now);
         let head_end = loop {
@@ -186,15 +188,7 @@ impl Conn {
                 }
                 // Mid-head: the rest must arrive within the deadline.
                 Some(started) => {
-                    let remaining = self
-                        .limits
-                        .head_deadline
-                        .checked_sub(started.elapsed())
-                        .filter(|r| !r.is_zero());
-                    let Some(remaining) = remaining else {
-                        return Err(HttpError::timeout("head"));
-                    };
-                    let _ = self.stream.set_read_timeout(Some(remaining));
+                    self.arm_deadline(started, "head")?;
                     match self.stream.read(&mut chunk) {
                         Ok(0) => {
                             return Err(HttpError::bad_request(
@@ -215,10 +209,13 @@ impl Conn {
         }
 
         // Consume the head; what follows is body bytes and, past them,
-        // possibly the next pipelined request.
+        // possibly the next pipelined request.  The body must arrive within
+        // the same deadline as the head, so a trickled body cannot hold the
+        // worker (and a drain) any longer than a stalled head.
         self.buf.drain(..head_end + 4);
-        let _ = self.stream.set_read_timeout(Some(IO_TIMEOUT));
+        let started = head_started.expect("a parsed head has a first byte");
         while self.buf.len() < head.content_length {
+            self.arm_deadline(started, "body")?;
             let n = self.stream.read(&mut chunk).map_err(|e| {
                 if is_timeout(&e) {
                     HttpError::timeout("body")
@@ -248,6 +245,19 @@ impl Conn {
             body,
             keep_alive: head.keep_alive,
         }))
+    }
+
+    /// Sets the read timeout to what is left of the request deadline that
+    /// started at `started`, or answers 408 when nothing is left.
+    fn arm_deadline(&mut self, started: Instant, what: &str) -> Result<(), HttpError> {
+        let remaining = self
+            .limits
+            .head_deadline
+            .checked_sub(started.elapsed())
+            .filter(|r| !r.is_zero())
+            .ok_or_else(|| HttpError::timeout(what))?;
+        let _ = self.stream.set_read_timeout(Some(remaining));
+        Ok(())
     }
 }
 

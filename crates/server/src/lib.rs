@@ -183,8 +183,8 @@ pub struct ServerConfig {
     pub max_requests_per_conn: usize,
     /// How long an idle keep-alive connection waits for its next request.
     pub idle_timeout: Duration,
-    /// Wall-clock allowed for one request head, counted from its first
-    /// byte (slowloris guard; expiry is a 408).
+    /// Wall-clock allowed for one whole request, head and body, counted
+    /// from its first byte (slowloris guard; expiry is a 408).
     pub head_deadline: Duration,
     /// Request log line shape (`--log-format text|json`).
     pub log_format: LogFormat,

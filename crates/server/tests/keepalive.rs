@@ -1,14 +1,15 @@
 //! Connection-lifecycle tests over raw sockets: pipelining, split
 //! segments, explicit `Connection: close`, idle timeout, the slowloris
-//! head deadline, and the per-connection request cap.  A stub backend
+//! request deadline (a stalled head and a trickled body), and the
+//! per-connection request cap.  A stub backend
 //! keeps the requests instant — these tests exercise the transport, not
 //! the analysis.
 
 use chora_server::{spawn, AnalysisBackend, ServerConfig, ServerHandle};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Echoes the source length, so responses are cheap and deterministic.
 struct StubBackend;
@@ -217,6 +218,54 @@ fn a_stalled_head_is_cut_off_with_408() {
     assert_eq!(conn, "close");
     assert!(body.contains("timed out"), "{body}");
     expect_eof(&mut stream);
+    handle.shutdown();
+}
+
+#[test]
+fn a_trickled_body_is_cut_off_with_408() {
+    let handle = daemon(ServerConfig {
+        head_deadline: Duration::from_millis(200),
+        ..quiet_config()
+    });
+    let mut stream = connect(&handle);
+    // A complete head, then the declared body one byte every 50 ms: each
+    // byte arrives well within any per-read timeout, but the whole request
+    // must still end within the deadline.
+    stream
+        .write_all(b"POST /v1/analyze HTTP/1.1\r\nHost: t\r\nContent-Length: 100\r\n\r\n")
+        .expect("write head");
+    let started = Instant::now();
+    // Bytes go out half a period off the deadline, and the 50 ms wait
+    // after each one is a read, so the client stops writing as soon as
+    // the response starts: the server never closes on unread bytes.
+    std::thread::sleep(Duration::from_millis(25));
+    stream
+        .set_read_timeout(Some(Duration::from_millis(50)))
+        .expect("read timeout");
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 4096];
+    while buf.is_empty() && started.elapsed() < Duration::from_secs(2) {
+        stream.write_all(b"x").expect("write a body byte");
+        match stream.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Err(e) => panic!("reading the response: {e}"),
+        }
+    }
+    stream
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .expect("read timeout");
+    let (status, conn, body) = read_one_response(&mut stream, &mut buf);
+    expect_eof(&mut stream);
+    let elapsed = started.elapsed();
+    assert_eq!(status, 408, "{body}");
+    assert_eq!(conn, "close");
+    assert!(body.contains("timed out"), "{body}");
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "cut off after {elapsed:?}"
+    );
     handle.shutdown();
 }
 

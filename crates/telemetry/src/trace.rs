@@ -5,7 +5,9 @@
 //! clock read, no lock.  When a session is active, each span reads the
 //! monotonic clock twice (construction and drop) and pushes one event into
 //! a global vector under a mutex; contention only exists while a trace is
-//! actually being recorded.
+//! actually being recorded.  The one exception is [`timed`], whose clock
+//! runs either way: it is for phases whose duration the caller reports
+//! anyway, so the report and the trace read one clock.
 //!
 //! Attribution: every event carries a *lane* (the thread's row in the
 //! rendered timeline — ready-queue workers claim `worker-N` lanes, other
@@ -24,7 +26,7 @@ use std::borrow::Cow;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Whether a trace session is currently recording (the span fast-path gate).
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -154,24 +156,28 @@ pub struct Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let Some((name, cat, start_ns)) = self.inner.take() else {
-            return;
-        };
-        // A session that ended mid-span drops the event rather than leak
-        // it into the next session's buffer.
-        if !enabled() {
-            return;
+        if let Some((name, cat, start_ns)) = self.inner.take() {
+            record(name, cat, start_ns, now_ns().saturating_sub(start_ns));
         }
-        let event = TraceEvent {
-            name,
-            cat,
-            lane: lane_id(),
-            start_ns,
-            dur_ns: now_ns().saturating_sub(start_ns),
-            task: TASK.with(|task| task.get()),
-        };
-        events().lock().expect("trace events lock").push(event);
     }
+}
+
+/// Pushes one event onto the active session's buffer.  A session that
+/// ended mid-span drops the event rather than leak it into the next
+/// session's buffer.
+fn record(name: Cow<'static, str>, cat: &'static str, start_ns: u64, dur_ns: u64) {
+    if !enabled() {
+        return;
+    }
+    let event = TraceEvent {
+        name,
+        cat,
+        lane: lane_id(),
+        start_ns,
+        dur_ns,
+        task: TASK.with(|task| task.get()),
+    };
+    events().lock().expect("trace events lock").push(event);
 }
 
 /// Opens a span with a static name.
@@ -193,6 +199,36 @@ pub fn span_with(cat: &'static str, name: impl FnOnce() -> String) -> Span {
     }
     Span {
         inner: Some((Cow::Owned(name()), cat, now_ns())),
+    }
+}
+
+/// A span that is also a stopwatch: its clock runs whether or not a session
+/// records, so a caller can both trace a phase and account its time with
+/// one pair of clock reads.  End it with [`Timed::end`].
+#[must_use = "a timed span records nothing until it is ended"]
+pub struct Timed {
+    cat: &'static str,
+    name: &'static str,
+    start_ns: u64,
+}
+
+/// Opens a [`Timed`] span with a static name.
+#[inline]
+pub fn timed(cat: &'static str, name: &'static str) -> Timed {
+    Timed {
+        cat,
+        name,
+        start_ns: now_ns(),
+    }
+}
+
+impl Timed {
+    /// Ends the span and returns its duration; when a session is active it
+    /// records exactly that interval.
+    pub fn end(self) -> Duration {
+        let dur_ns = now_ns().saturating_sub(self.start_ns);
+        record(Cow::Borrowed(self.name), self.cat, self.start_ns, dur_ns);
+        Duration::from_nanos(dur_ns)
     }
 }
 
@@ -323,9 +359,13 @@ mod tests {
         {
             let _span = span_with("phase", || "parse demo".to_string());
         }
+        let timed_for = timed("phase", "timed demo").end();
         let trace = session.finish();
         assert!(!enabled());
-        assert_eq!(trace.events.len(), 2);
+        assert_eq!(trace.events.len(), 3);
+        // A timed span records exactly the interval it returns.
+        assert_eq!(trace.events[2].name, "timed demo");
+        assert_eq!(u128::from(trace.events[2].dur_ns), timed_for.as_nanos());
         let component = &trace.events[0];
         assert_eq!(component.name, "component demo");
         assert_eq!(component.task, Some((7, 1_500_000)));

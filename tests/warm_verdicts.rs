@@ -2,7 +2,7 @@
 //!
 //! A summary-store entry carries each member's assertion verdicts next to
 //! its summary, so once every component of a program hits the store, no
-//! assertion task walks its body.  This analyzes every assertion-suite
+//! component task walks a body.  This analyzes every assertion-suite
 //! program cold and then warm through one memory-only store, at one and two
 //! workers: the warm verdicts must equal the cold ones, and the warm pass
 //! must not move any `chora_logic::stats` counter — it asks the
