@@ -8,13 +8,12 @@
 //! verdicts depend only on what the component key hashes, every `assert`
 //! (label and condition) and the keys of the whole callee cone.
 //!
-//! The encoding is a one-line JSON document, built, rendered
-//! ([`Json::compact`]) and parsed with [`chora_telemetry::json`], and
-//! designed for *exact* round-trips:
-//! decoding an encoded [`ProcedureSummary`] reproduces the original value
-//! bit-for-bit, including the internal order of polyhedron atoms and
-//! transition-formula disjuncts, so a cache hit leaves no observable trace
-//! in the analysis output.
+//! The encoding is a one-line JSON document, built and rendered
+//! ([`Json::compact`]) with [`chora_telemetry::json`], and designed for
+//! *exact* round-trips: decoding an encoded [`ProcedureSummary`] reproduces
+//! the original value bit-for-bit, including the internal order of
+//! polyhedron atoms and transition-formula disjuncts, so a cache hit leaves
+//! no observable trace in the analysis output.
 //!
 //! Symbols are serialized **by name and kind**, never by interner index
 //! (indices depend on process history); on load they are re-interned
@@ -22,6 +21,32 @@
 //! `"num"` / `"num/den"` strings so no precision is lost.  Every decoder is
 //! fallible: a corrupted or version-mismatched document yields `None` and
 //! the caller discards the cache entry — corruption is never fatal.
+//!
+//! # Decoding straight from the bytes
+//!
+//! Every tier reads entries as text (memory keeps them serialized, disks
+//! and peers exchange them), so a hit decodes one.  [`decode_entry`] reads
+//! the document with the pull [`Reader`] and builds symbols, rationals,
+//! polynomials, atoms and terms as the tokens arrive; it builds no [`Json`]
+//! tree.  It accepts exactly the documents [`encode_entry`] writes: the
+//! fields in the encoder's order, with whitespace allowed between tokens.
+//! A reordered, missing or unknown field, trailing data after the document,
+//! or any value outside what the encoder writes is corruption:
+//!
+//! - the format tag, the version ([`CACHE_VERSION`]) and the key must match,
+//!   and the scopes table must hold hex component keys;
+//! - a symbol's payload, canonical scope index and serial must be in range,
+//!   and its rescope must succeed ([`Symbol::try_fresh_at`]);
+//! - a monomial names each symbol once, with an exponent that fits `u32`;
+//! - a formula's cap is in `1..=1_000_000`, an atom's kind is 0, 1 or 2, and
+//!   a closed form's terms have non-zero bases and polynomials only in its
+//!   parameter (the `ExpPoly` invariants);
+//! - each member carries its verdict list.
+//!
+//! Terms nest one array per level, so the reader's
+//! [`MAX_DEPTH`](chora_telemetry::json::MAX_DEPTH) bound on nesting also
+//! bounds the decoder's recursion.  [`entry_key`] reads the same envelope
+//! and checks that the members are well-formed JSON without decoding them.
 //!
 //! # Scope-independent entries and rescope-on-load
 //!
@@ -47,8 +72,8 @@ use crate::store::ComponentEntry;
 use chora_expr::{ExpPoly, Monomial, Polynomial, Symbol, SymbolKind, Term};
 use chora_ir::{Fingerprint, FingerprintBuilder};
 use chora_logic::{Atom, AtomKind, Polyhedron, TransitionFormula};
-use chora_numeric::BigRational;
-use chora_telemetry::json::Json;
+use chora_numeric::{BigRational, SmallVec};
+use chora_telemetry::json::{Json, Reader};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -278,8 +303,8 @@ fn encode_symbol(s: &Symbol, enc: &mut ScopeEncoder<'_>) -> Json {
     Json::Str(text)
 }
 
-fn decode_symbol(v: &Json, dec: &ScopeDecoder<'_>) -> Option<Symbol> {
-    let text = v.as_str()?;
+/// The symbol an entry writes as `text`.
+fn parse_symbol(text: &str, dec: &ScopeDecoder<'_>) -> Option<Symbol> {
     match text {
         "h" => return Some(Symbol::height()),
         "D" => return Some(Symbol::depth()),
@@ -313,12 +338,19 @@ fn decode_symbol(v: &Json, dec: &ScopeDecoder<'_>) -> Option<Symbol> {
     }
 }
 
+fn decode_symbol(r: &mut Reader<'_>, dec: &ScopeDecoder<'_>) -> Result<Symbol, String> {
+    let text = r.string()?;
+    parse_symbol(&text, dec).ok_or_else(|| format!("invalid symbol `{text}`"))
+}
+
 fn encode_rational(r: &BigRational) -> Json {
     Json::Str(r.to_string())
 }
 
-fn decode_rational(v: &Json) -> Option<BigRational> {
-    v.as_str()?.parse().ok()
+fn decode_rational(r: &mut Reader<'_>) -> Result<BigRational, String> {
+    let text = r.string()?;
+    text.parse()
+        .map_err(|_| format!("invalid rational `{text}`"))
 }
 
 fn encode_monomial(m: &Monomial, enc: &mut ScopeEncoder<'_>) -> Json {
@@ -329,19 +361,20 @@ fn encode_monomial(m: &Monomial, enc: &mut ScopeEncoder<'_>) -> Json {
     )
 }
 
-fn decode_monomial(v: &Json, dec: &ScopeDecoder<'_>) -> Option<Monomial> {
-    let mut powers = Vec::new();
-    for item in v.as_array()? {
-        let [sym, exp] = item.as_array()? else {
-            return None;
-        };
-        let e = exp.as_int()?;
-        if !(0..=i64::from(u32::MAX)).contains(&e) {
-            return None;
+/// A monomial names each symbol once: `Monomial::from_powers` would add
+/// the exponents of a repeated one, which no encoded monomial has.
+fn decode_monomial(r: &mut Reader<'_>, dec: &ScopeDecoder<'_>) -> Result<Monomial, String> {
+    let mut powers: SmallVec<(Symbol, u32), 3> = SmallVec::new();
+    r.begin_array()?;
+    while r.next_item()? {
+        let (sym, exp) = pair(r, |r| decode_symbol(r, dec), Reader::int)?;
+        let exp = u32::try_from(exp).map_err(|_| format!("exponent {exp} out of range"))?;
+        if powers.iter().any(|(s, _)| *s == sym) {
+            return Err(format!("symbol `{sym}` repeated in a monomial"));
         }
-        powers.push((decode_symbol(sym, dec)?, e as u32));
+        powers.push((sym, exp));
     }
-    Some(Monomial::from_powers(powers))
+    Ok(Monomial::from_powers(powers))
 }
 
 fn encode_polynomial(p: &Polynomial, enc: &mut ScopeEncoder<'_>) -> Json {
@@ -352,15 +385,9 @@ fn encode_polynomial(p: &Polynomial, enc: &mut ScopeEncoder<'_>) -> Json {
     )
 }
 
-fn decode_polynomial(v: &Json, dec: &ScopeDecoder<'_>) -> Option<Polynomial> {
-    let mut terms = Vec::new();
-    for item in v.as_array()? {
-        let [coeff, mono] = item.as_array()? else {
-            return None;
-        };
-        terms.push((decode_rational(coeff)?, decode_monomial(mono, dec)?));
-    }
-    Some(Polynomial::from_terms(terms))
+fn decode_polynomial(r: &mut Reader<'_>, dec: &ScopeDecoder<'_>) -> Result<Polynomial, String> {
+    let terms = list(r, |r| pair(r, decode_rational, |r| decode_monomial(r, dec)))?;
+    Ok(Polynomial::from_terms(terms))
 }
 
 fn encode_exppoly(e: &ExpPoly, enc: &mut ScopeEncoder<'_>) -> Json {
@@ -378,22 +405,23 @@ fn encode_exppoly(e: &ExpPoly, enc: &mut ScopeEncoder<'_>) -> Json {
         )
 }
 
-fn decode_exppoly(v: &Json, dec: &ScopeDecoder<'_>) -> Option<ExpPoly> {
-    let param = decode_symbol(v.get("param")?, dec)?;
+fn decode_exppoly(r: &mut Reader<'_>, dec: &ScopeDecoder<'_>) -> Result<ExpPoly, String> {
+    r.begin_object()?;
+    r.field("param")?;
+    let param = decode_symbol(r, dec)?;
+    r.field("terms")?;
     let mut out = ExpPoly::zero(&param);
-    for item in v.get("terms")?.as_array()? {
-        let [base, poly] = item.as_array()? else {
-            return None;
-        };
-        let base = decode_rational(base)?;
-        let poly = decode_polynomial(poly, dec)?;
+    r.begin_array()?;
+    while r.next_item()? {
+        let (base, poly) = pair(r, decode_rational, |r| decode_polynomial(r, dec))?;
         // Guard the constructor invariants (they panic on violation).
         if base.is_zero() || poly.symbols().iter().any(|s| s != &param) {
-            return None;
+            return Err("closed-form term breaks the ExpPoly invariants".to_string());
         }
         out = out.add(&ExpPoly::exp_poly_term(base, poly, &param));
     }
-    Some(out)
+    r.end_object()?;
+    Ok(out)
 }
 
 fn encode_term(t: &Term, enc: &mut ScopeEncoder<'_>) -> Json {
@@ -419,26 +447,47 @@ fn encode_term_list(tag: &str, ts: &[Term], enc: &mut ScopeEncoder<'_>) -> Json 
     Json::Array(items)
 }
 
-fn decode_term(v: &Json, dec: &ScopeDecoder<'_>) -> Option<Term> {
-    let items = v.as_array()?;
-    let (tag, rest) = items.split_first()?;
-    let tag = tag.as_str()?;
-    let list =
-        |rest: &[Json]| -> Option<Vec<Term>> { rest.iter().map(|t| decode_term(t, dec)).collect() };
-    match (tag, rest) {
-        ("c", [c]) => Some(Term::Const(decode_rational(c)?)),
-        ("v", [s]) => Some(Term::Var(decode_symbol(s, dec)?)),
-        ("+", _) => Some(Term::Add(list(rest)?)),
-        ("*", _) => Some(Term::Mul(list(rest)?)),
-        ("^", [b, e]) => Some(Term::Pow(
-            Box::new(decode_term(b, dec)?),
-            Box::new(decode_term(e, dec)?),
-        )),
-        ("log2", [x]) => Some(Term::Log2(Box::new(decode_term(x, dec)?))),
-        ("max", _) => Some(Term::Max(list(rest)?)),
-        ("min", _) => Some(Term::Min(list(rest)?)),
-        _ => None,
-    }
+/// Each level of a term is an array, so the reader's [`MAX_DEPTH`] bound
+/// on nesting bounds this recursion too.
+///
+/// [`MAX_DEPTH`]: chora_telemetry::json::MAX_DEPTH
+fn decode_term(r: &mut Reader<'_>, dec: &ScopeDecoder<'_>) -> Result<Term, String> {
+    r.begin_array()?;
+    r.item()?;
+    let tag = r.string()?;
+    // The rest of the array as terms, through its `]`.
+    let terms = |r: &mut Reader<'_>| -> Result<Vec<Term>, String> {
+        let mut terms = Vec::new();
+        while r.next_item()? {
+            terms.push(decode_term(r, dec)?);
+        }
+        Ok(terms)
+    };
+    Ok(match &*tag {
+        "c" => Term::Const(last(r, decode_rational)?),
+        "v" => Term::Var(last(r, |r| decode_symbol(r, dec))?),
+        "+" => Term::Add(terms(r)?),
+        "*" => Term::Mul(terms(r)?),
+        "^" => {
+            let [b, e] = exactly(&tag, terms(r)?)?;
+            Term::Pow(Box::new(b), Box::new(e))
+        }
+        "log2" => {
+            let [x] = exactly(&tag, terms(r)?)?;
+            Term::Log2(Box::new(x))
+        }
+        "max" => Term::Max(terms(r)?),
+        "min" => Term::Min(terms(r)?),
+        _ => return Err(format!("unknown term `{tag}`")),
+    })
+}
+
+/// The operands of `tag`, which takes exactly `N`.
+fn exactly<const N: usize>(tag: &str, terms: Vec<Term>) -> Result<[Term; N], String> {
+    let n = terms.len();
+    terms
+        .try_into()
+        .map_err(|_| format!("`{tag}` takes {N} terms, not {n}"))
 }
 
 // ---------------------------------------------------------------------------
@@ -454,16 +503,13 @@ fn encode_atom(a: &Atom, enc: &mut ScopeEncoder<'_>) -> Json {
     Json::Array(vec![Json::Int(kind), encode_polynomial(&a.poly, enc)])
 }
 
-fn decode_atom(v: &Json, dec: &ScopeDecoder<'_>) -> Option<Atom> {
-    let [kind, poly] = v.as_array()? else {
-        return None;
-    };
-    let poly = decode_polynomial(poly, dec)?;
-    Some(match kind.as_int()? {
+fn decode_atom(r: &mut Reader<'_>, dec: &ScopeDecoder<'_>) -> Result<Atom, String> {
+    let (kind, poly) = pair(r, Reader::int, |r| decode_polynomial(r, dec))?;
+    Ok(match kind {
         0 => Atom::le_zero(poly),
         1 => Atom::lt_zero(poly),
         2 => Atom::eq_zero(poly),
-        _ => return None,
+        _ => return Err(format!("invalid atom kind {kind}")),
     })
 }
 
@@ -471,9 +517,8 @@ fn encode_polyhedron(p: &Polyhedron, enc: &mut ScopeEncoder<'_>) -> Json {
     Json::Array(p.atoms().iter().map(|a| encode_atom(a, enc)).collect())
 }
 
-fn decode_polyhedron(v: &Json, dec: &ScopeDecoder<'_>) -> Option<Polyhedron> {
-    let atoms: Option<Vec<Atom>> = v.as_array()?.iter().map(|a| decode_atom(a, dec)).collect();
-    Some(Polyhedron::from_parts(atoms?))
+fn decode_polyhedron(r: &mut Reader<'_>, dec: &ScopeDecoder<'_>) -> Result<Polyhedron, String> {
+    Ok(Polyhedron::from_parts(list(r, |r| decode_atom(r, dec))?))
 }
 
 fn encode_formula(f: &TransitionFormula, enc: &mut ScopeEncoder<'_>) -> Json {
@@ -490,18 +535,17 @@ fn encode_formula(f: &TransitionFormula, enc: &mut ScopeEncoder<'_>) -> Json {
         )
 }
 
-fn decode_formula(v: &Json, dec: &ScopeDecoder<'_>) -> Option<TransitionFormula> {
-    let cap = v.get("cap")?.as_int()?;
+fn decode_formula(r: &mut Reader<'_>, dec: &ScopeDecoder<'_>) -> Result<TransitionFormula, String> {
+    r.begin_object()?;
+    r.field("cap")?;
+    let cap = r.int()?;
     if !(1..=1_000_000).contains(&cap) {
-        return None;
+        return Err(format!("formula cap {cap} out of range"));
     }
-    let disjuncts: Option<Vec<Polyhedron>> = v
-        .get("disjuncts")?
-        .as_array()?
-        .iter()
-        .map(|d| decode_polyhedron(d, dec))
-        .collect();
-    Some(TransitionFormula::from_parts(disjuncts?, cap as usize))
+    r.field("disjuncts")?;
+    let disjuncts = list(r, |r| decode_polyhedron(r, dec))?;
+    r.end_object()?;
+    Ok(TransitionFormula::from_parts(disjuncts, cap as usize))
 }
 
 // ---------------------------------------------------------------------------
@@ -516,15 +560,12 @@ fn encode_depth(d: &DepthBound, enc: &mut ScopeEncoder<'_>) -> Json {
     Json::Array(vec![Json::Str(tag.into()), encode_term(t, enc)])
 }
 
-fn decode_depth(v: &Json, dec: &ScopeDecoder<'_>) -> Option<DepthBound> {
-    let [tag, t] = v.as_array()? else {
-        return None;
-    };
-    let t = decode_term(t, dec)?;
-    match tag.as_str()? {
-        "lin" => Some(DepthBound::Linear(t)),
-        "log" => Some(DepthBound::Logarithmic(t)),
-        _ => None,
+fn decode_depth(r: &mut Reader<'_>, dec: &ScopeDecoder<'_>) -> Result<DepthBound, String> {
+    let (tag, t) = pair(r, Reader::string, |r| decode_term(r, dec))?;
+    match &*tag {
+        "lin" => Ok(DepthBound::Linear(t)),
+        "log" => Ok(DepthBound::Logarithmic(t)),
+        _ => Err(format!("unknown depth bound `{tag}`")),
     }
 }
 
@@ -542,15 +583,26 @@ fn encode_bound_fact(f: &BoundFact, enc: &mut ScopeEncoder<'_>) -> Json {
         .field("exact", Json::Bool(f.exact))
 }
 
-fn decode_bound_fact(v: &Json, dec: &ScopeDecoder<'_>) -> Option<BoundFact> {
-    Some(BoundFact {
-        term: decode_polynomial(v.get("term")?, dec)?,
-        closed_form: decode_exppoly(v.get("closed_form")?, dec)?,
-        bound: match v.get("bound")? {
-            Json::Null => None,
-            b => Some(decode_term(b, dec)?),
-        },
-        exact: v.get("exact")?.as_bool()?,
+fn decode_bound_fact(r: &mut Reader<'_>, dec: &ScopeDecoder<'_>) -> Result<BoundFact, String> {
+    r.begin_object()?;
+    r.field("term")?;
+    let term = decode_polynomial(r, dec)?;
+    r.field("closed_form")?;
+    let closed_form = decode_exppoly(r, dec)?;
+    r.field("bound")?;
+    let bound = if r.null()? {
+        None
+    } else {
+        Some(decode_term(r, dec)?)
+    };
+    r.field("exact")?;
+    let exact = r.bool()?;
+    r.end_object()?;
+    Ok(BoundFact {
+        term,
+        closed_form,
+        bound,
+        exact,
     })
 }
 
@@ -577,22 +629,40 @@ fn encode_summary(s: &ProcedureSummary, enc: &mut ScopeEncoder<'_>) -> Json {
         )
 }
 
-fn decode_summary(v: &Json, dec: &ScopeDecoder<'_>) -> Option<ProcedureSummary> {
-    let bound_facts: Option<Vec<BoundFact>> = v
-        .get("bound_facts")?
-        .as_array()?
-        .iter()
-        .map(|f| decode_bound_fact(f, dec))
-        .collect();
-    Some(ProcedureSummary {
-        name: v.get("name")?.as_str()?.to_string(),
-        formula: decode_formula(v.get("formula")?, dec)?,
-        bound_facts: bound_facts?,
-        depth: match v.get("depth")? {
-            Json::Null => None,
-            d => Some(decode_depth(d, dec)?),
-        },
-        recursive: v.get("recursive")?.as_bool()?,
+/// Decodes one member: its summary, and the verdicts of its asserts into
+/// `assertions`.
+fn decode_member(
+    r: &mut Reader<'_>,
+    dec: &ScopeDecoder<'_>,
+    assertions: &mut Vec<AssertionResult>,
+) -> Result<ProcedureSummary, String> {
+    r.begin_object()?;
+    r.field("name")?;
+    let name = r.string()?.into_owned();
+    r.field("recursive")?;
+    let recursive = r.bool()?;
+    r.field("formula")?;
+    let formula = decode_formula(r, dec)?;
+    r.field("bound_facts")?;
+    let bound_facts = list(r, |r| decode_bound_fact(r, dec))?;
+    r.field("depth")?;
+    let depth = if r.null()? {
+        None
+    } else {
+        Some(decode_depth(r, dec)?)
+    };
+    r.field("assertions")?;
+    r.begin_array()?;
+    while r.next_item()? {
+        assertions.push(decode_verdict(r, &name)?);
+    }
+    r.end_object()?;
+    Ok(ProcedureSummary {
+        name,
+        formula,
+        bound_facts,
+        depth,
+        recursive,
     })
 }
 
@@ -602,15 +672,49 @@ fn encode_verdict(a: &AssertionResult) -> Json {
     Json::Array(vec![Json::str(&a.label), Json::Bool(a.verified)])
 }
 
-fn decode_verdict(v: &Json, procedure: &str) -> Option<AssertionResult> {
-    let [label, verified] = v.as_array()? else {
-        return None;
-    };
-    Some(AssertionResult {
+fn decode_verdict(r: &mut Reader<'_>, procedure: &str) -> Result<AssertionResult, String> {
+    let (label, verified) = pair(r, Reader::string, Reader::bool)?;
+    Ok(AssertionResult {
         procedure: procedure.to_string(),
-        label: label.as_str()?.to_string(),
-        verified: verified.as_bool()?,
+        label: label.into_owned(),
+        verified,
     })
+}
+
+/// Reads an array, each item through `item`.
+fn list<'a, T>(
+    r: &mut Reader<'a>,
+    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let mut items = Vec::new();
+    r.begin_array()?;
+    while r.next_item()? {
+        items.push(item(r)?);
+    }
+    Ok(items)
+}
+
+/// Reads the two-item array `[first, second]`.
+fn pair<'a, A, B>(
+    r: &mut Reader<'a>,
+    first: impl FnOnce(&mut Reader<'a>) -> Result<A, String>,
+    second: impl FnOnce(&mut Reader<'a>) -> Result<B, String>,
+) -> Result<(A, B), String> {
+    r.begin_array()?;
+    r.item()?;
+    let a = first(r)?;
+    Ok((a, last(r, second)?))
+}
+
+/// Reads the array's one remaining item through `item`, and its `]`.
+fn last<'a, T>(
+    r: &mut Reader<'a>,
+    item: impl FnOnce(&mut Reader<'a>) -> Result<T, String>,
+) -> Result<T, String> {
+    r.item()?;
+    let value = item(r)?;
+    r.end_array()?;
+    Ok(value)
 }
 
 // ---------------------------------------------------------------------------
@@ -675,55 +779,82 @@ pub fn decode_entry(
     expected_key: &Fingerprint,
     scopes: &dyn ScopeResolver,
 ) -> Option<ComponentEntry> {
-    let doc = Json::parse(text).ok()?;
-    if doc.get("format")?.as_str()? != CACHE_FORMAT {
-        return None;
-    }
-    if doc.get("version")?.as_int()? != CACHE_VERSION {
-        return None;
-    }
-    if Fingerprint::from_hex(doc.get("key")?.as_str()?)? != *expected_key {
-        return None;
-    }
-    let table: Option<Vec<Fingerprint>> = doc
-        .get("scopes")?
-        .as_array()?
-        .iter()
-        .map(|v| Fingerprint::from_hex(v.as_str()?))
-        .collect();
-    let dec = ScopeDecoder {
-        resolver: scopes,
-        table: table?,
-    };
-    let mut entry = ComponentEntry::default();
-    for member in doc.get("summaries")?.as_array()? {
-        let summary = decode_summary(member, &dec)?;
-        for verdict in member.get("assertions")?.as_array()? {
-            entry
-                .assertions
-                .push(decode_verdict(verdict, &summary.name)?);
-        }
-        entry.summaries.push(summary);
-    }
-    Some(entry)
+    read_entry(text, expected_key, scopes).ok()
 }
 
-/// Checks a cache entry's *envelope* — format tag, version, and embedded
-/// key — and returns the key, without decoding (or rescoping) the
-/// summaries themselves.  This is the plausibility gate a summary server
-/// applies to `PUT /v1/summaries/{key}` bodies and to entries it serves:
-/// full decoding needs the *consumer's* scope assignment, which only the
-/// analyzing peer has.
+/// [`decode_entry`], with the reason an entry is refused.
+fn read_entry(
+    text: &str,
+    expected_key: &Fingerprint,
+    scopes: &dyn ScopeResolver,
+) -> Result<ComponentEntry, String> {
+    let mut r = Reader::new(text);
+    let (key, table) = read_envelope(&mut r)?;
+    if key != *expected_key {
+        return Err(format!("entry is keyed {key}"));
+    }
+    let dec = ScopeDecoder {
+        resolver: scopes,
+        table,
+    };
+    let mut entry = ComponentEntry::default();
+    while r.next_item()? {
+        let summary = decode_member(&mut r, &dec, &mut entry.assertions)?;
+        entry.summaries.push(summary);
+    }
+    close_envelope(r)?;
+    Ok(entry)
+}
+
+/// Checks a cache entry's *envelope* — format tag, version, embedded key
+/// and scopes table — and that the rest is well-formed JSON, and returns
+/// the key, without decoding (or rescoping) the summaries themselves.
+/// This is the plausibility gate a summary server applies to
+/// `PUT /v1/summaries/{key}` bodies and to entries it serves: full decoding
+/// needs the *consumer's* scope assignment, which only the analyzing peer
+/// has.
 pub fn entry_key(text: &str) -> Option<Fingerprint> {
-    let doc = Json::parse(text).ok()?;
-    if doc.get("format")?.as_str()? != CACHE_FORMAT {
-        return None;
+    let mut r = Reader::new(text);
+    let (key, _) = read_envelope(&mut r).ok()?;
+    while r.next_item().ok()? {
+        r.skip().ok()?;
     }
-    if doc.get("version")?.as_int()? != CACHE_VERSION {
-        return None;
+    close_envelope(r).ok()?;
+    Some(key)
+}
+
+/// Reads an entry up to its members: the format tag and version, which
+/// must be this build's, then the embedded key and the scopes table, which
+/// it returns, and the `[` of the `"summaries"` array.
+fn read_envelope(r: &mut Reader<'_>) -> Result<(Fingerprint, Vec<Fingerprint>), String> {
+    r.begin_object()?;
+    r.field("format")?;
+    if r.string()? != CACHE_FORMAT {
+        return Err("not a summary-cache entry".to_string());
     }
-    doc.get("summaries")?.as_array()?;
-    Fingerprint::from_hex(doc.get("key")?.as_str()?)
+    r.field("version")?;
+    let version = r.int()?;
+    if version != CACHE_VERSION {
+        return Err(format!("entry has version {version}"));
+    }
+    r.field("key")?;
+    let key = decode_key(r)?;
+    r.field("scopes")?;
+    let table = list(r, decode_key)?;
+    r.field("summaries")?;
+    r.begin_array()?;
+    Ok((key, table))
+}
+
+/// After the `]` of the members: the end of the entry and of the input.
+fn close_envelope(mut r: Reader<'_>) -> Result<(), String> {
+    r.end_object()?;
+    r.finish()
+}
+
+fn decode_key(r: &mut Reader<'_>) -> Result<Fingerprint, String> {
+    let text = r.string()?;
+    Fingerprint::from_hex(&text).ok_or_else(|| format!("invalid key `{text}`"))
 }
 
 #[cfg(test)]
@@ -928,8 +1059,11 @@ mod tests {
             "over-ceiling rescopes must reject the entry"
         );
         // A canonical index pointing past the scopes table is corruption.
-        let truncated_table = encoded.replace("\"scopes\":[\"", "\"scopes\":[], \"unused\":[\"");
-        assert!(decode_entry(&truncated_table, &key, &same_scopes()).is_none());
+        let past_table = encoded.replace("\"f:0:0\"", "\"f:1:0\"");
+        assert_ne!(past_table, encoded);
+        let refused =
+            read_entry(&past_table, &key, &same_scopes()).expect_err("index past the table");
+        assert!(refused.contains("invalid symbol `f:1:0`"), "{refused}");
         // Encoding is equally careful: with no key for the scope, the
         // entry is not produced at all (the store just skips caching).
         assert!(encode_entry(&key, &entry, &NullScopes).is_none());
@@ -1019,6 +1153,349 @@ mod tests {
         // Nesting far past the parser's depth bound: an error, not a stack
         // overflow.
         assert!(decode_entry(&"[".repeat(200_000), &key, &scopes).is_none());
+        // The same for a term inside an entry: the reader's depth bound
+        // also bounds the term decoder's recursion.
+        let deep = format!(
+            "{}[\"v\",\"n:n\"]{}",
+            "[\"log2\",".repeat(200_000),
+            "]".repeat(200_000)
+        );
+        let deep_term = good.replace("[\"log\",[\"v\",\"n:n\"]]", &format!("[\"log\",{deep}]"));
+        assert_ne!(deep_term, good);
+        let refused = read_entry(&deep_term, &key, &scopes).expect_err("too deep");
+        assert!(refused.contains("nesting deeper"), "{refused}");
+        assert!(entry_key(&deep_term).is_none());
+    }
+
+    #[test]
+    fn a_monomial_that_repeats_a_symbol_is_refused() {
+        // `Monomial::from_powers` adds the exponents of a repeated symbol:
+        // these two overflow `u32` (a panic in a debug build, `x^0` in a
+        // release build).  No encoder writes such a monomial.
+        let key = Fingerprint(44);
+        let good = encode_entry(&key, &sample_entry(), &same_scopes()).expect("encodes");
+        let repeated = good.replace("[[\"n:x\",2]]", "[[\"n:x\",4294967295],[\"n:x\",1]]");
+        assert_ne!(repeated, good);
+        let refused = read_entry(&repeated, &key, &same_scopes()).expect_err("repeated symbol");
+        assert!(refused.contains("repeated"), "{refused}");
+        // Its envelope is intact, so a peer would accept it on `PUT`; the
+        // decoder is what keeps it out of an analysis.
+        assert_eq!(entry_key(&repeated), Some(key));
+    }
+
+    #[test]
+    fn entries_are_read_in_encoder_order_with_any_whitespace() {
+        let key = Fingerprint(45);
+        let entry = sample_entry();
+        let good = encode_entry(&key, &entry, &same_scopes()).expect("encodes");
+        // Whitespace between tokens is allowed.
+        let pretty = Json::parse(&good).expect("well-formed").pretty();
+        assert_eq!(decode_entry(&pretty, &key, &same_scopes()), Some(entry));
+        assert_eq!(entry_key(&pretty), Some(key));
+        // Fields in another order, or one the encoder does not write, are
+        // corruption.  `entry_key` reads the envelope the same way.
+        for changed in [
+            good.replacen(
+                "\"format\":\"chora-summary-cache\",\"version\":3",
+                "\"version\":3,\"format\":\"chora-summary-cache\"",
+                1,
+            ),
+            good.replacen("\"scopes\":[", "\"extra\":1,\"scopes\":[", 1),
+            format!("{}{}", &good[..good.len() - 1], ",\"extra\":1}"),
+        ] {
+            assert_ne!(changed, good);
+            assert!(
+                decode_entry(&changed, &key, &same_scopes()).is_none(),
+                "{changed}"
+            );
+            assert!(entry_key(&changed).is_none(), "{changed}");
+        }
+        // Inside a member, which `entry_key` only checks for well-formed JSON.
+        for changed in [
+            good.replacen(
+                "{\"name\":\"p\",\"recursive\":true",
+                "{\"recursive\":true,\"name\":\"p\"",
+                1,
+            ),
+            good.replacen("\"exact\":true}", "\"exact\":true,\"extra\":null}", 1),
+        ] {
+            assert_ne!(changed, good);
+            assert!(
+                decode_entry(&changed, &key, &same_scopes()).is_none(),
+                "{changed}"
+            );
+            assert_eq!(entry_key(&changed), Some(key));
+        }
+        // Trailing data after the document.
+        assert!(decode_entry(&format!("{good} {{}}"), &key, &same_scopes()).is_none());
+        assert!(entry_key(&format!("{good}x")).is_none());
+    }
+
+    #[test]
+    fn entry_key_checks_the_envelope_and_that_the_rest_is_json() {
+        let key = Fingerprint(46);
+        let good = encode_entry(&key, &sample_entry(), &same_scopes()).expect("encodes");
+        assert_eq!(entry_key(&good), Some(key));
+        // A member that is well-formed JSON passes the envelope check (only
+        // the analyzing peer can decode it); one that is not is refused.
+        let odd_member = good.replacen("\"summaries\":[{", "\"summaries\":[[1,\"a\\\"b\"],{", 1);
+        assert_eq!(entry_key(&odd_member), Some(key));
+        assert!(decode_entry(&odd_member, &key, &same_scopes()).is_none());
+        for broken in [
+            good.replacen("\"exact\":true", "\"exact\":tru", 1),
+            good.replacen("\"n:cost\"", "\"n:cost", 1),
+            good.replacen("[\"proved\",true]", "[\"proved\" true]", 1),
+            good.replacen("\"cap\":9,", "\"cap\":9-,", 1),
+            good.replacen("\"scopes\":[\"", "\"scopes\":[\"zz", 1),
+        ] {
+            assert_ne!(broken, good);
+            assert!(entry_key(&broken).is_none(), "{broken}");
+        }
+    }
+
+    /// Builds entries from a word stream (zeros once it runs out): every
+    /// symbol kind, with fresh ones at scopes `SCOPE_BASE..SCOPE_BASE + 4`,
+    /// rationals inside and past `i64`, terms nested up to four deep, and
+    /// names and labels with quotes, backslashes, control characters and
+    /// non-ASCII text.
+    struct EntryGen<I: Iterator<Item = u64>>(I);
+
+    const SCOPE_BASE: u32 = 20;
+
+    impl<I: Iterator<Item = u64>> EntryGen<I> {
+        fn word(&mut self) -> u64 {
+            self.0.next().unwrap_or(0)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.word() % n
+        }
+
+        fn text(&mut self, prefix: &str) -> String {
+            const POOL: [char; 9] = ['"', '\\', '\n', '\u{1}', 'a', ' ', 'é', '😀', ':'];
+            let len = self.below(5);
+            let mut out = prefix.to_string();
+            out.extend((0..len).map(|_| POOL[self.below(POOL.len() as u64) as usize]));
+            out
+        }
+
+        fn symbol(&mut self) -> Symbol {
+            const NAMES: [&str; 5] = ["x", "n", "cost", "ret", "é:2"];
+            let w = self.word();
+            let name = NAMES[(w >> 8) as usize % NAMES.len()];
+            let k = (w >> 16) as u32;
+            match w % 10 {
+                0 => Symbol::new(name),
+                1 => Symbol::post(name),
+                2 => Symbol::bound_at_h((k % 8) as usize),
+                3 => Symbol::bound_at_h1((k & chora_expr::MAX_SYMBOL_PAYLOAD) as usize),
+                4 => Symbol::height(),
+                5 => Symbol::depth(),
+                6 | 7 => {
+                    Symbol::fresh_at(SCOPE_BASE + k % 4, (k >> 2) & chora_expr::MAX_FRESH_SERIAL)
+                }
+                8 => Symbol::dimension(k & chora_expr::MAX_SYMBOL_PAYLOAD),
+                _ => Symbol::scratch(k % 8),
+            }
+        }
+
+        fn rational(&mut self) -> BigRational {
+            let w = self.word();
+            let sign = if w & 1 == 0 { "" } else { "-" };
+            let num = match (w >> 1) % 3 {
+                0 => ((w >> 8) % 10).to_string(),
+                1 => (w >> 8).to_string(),
+                // Past `i64`.
+                _ => format!(
+                    "{}{:019}",
+                    (w >> 8) % 1000 + 1,
+                    self.word() % 10_u64.pow(19)
+                ),
+            };
+            let den = 1 + (w >> 40) % 12;
+            format!("{sign}{num}/{den}").parse().expect("a rational")
+        }
+
+        fn nonzero(&mut self) -> BigRational {
+            let r = self.rational();
+            if r.is_zero() {
+                BigRational::one()
+            } else {
+                r
+            }
+        }
+
+        fn monomial(&mut self) -> Monomial {
+            let mut powers: Vec<(Symbol, u32)> = Vec::new();
+            for _ in 0..self.below(3) {
+                let s = self.symbol();
+                let e = match self.below(8) {
+                    0 => u32::MAX,
+                    e => e as u32 % 3 + 1,
+                };
+                if powers.iter().all(|(t, _)| *t != s) {
+                    powers.push((s, e));
+                }
+            }
+            Monomial::from_powers(powers)
+        }
+
+        fn polynomial(&mut self) -> Polynomial {
+            let len = self.below(4);
+            Polynomial::from_terms(
+                (0..len)
+                    .map(|_| (self.rational(), self.monomial()))
+                    .collect::<Vec<_>>(),
+            )
+        }
+
+        fn exppoly(&mut self) -> ExpPoly {
+            let param = if self.below(2) == 0 {
+                Symbol::height()
+            } else {
+                self.symbol()
+            };
+            let mut out = ExpPoly::zero(&param);
+            for _ in 0..self.below(3) {
+                let base = self.nonzero();
+                let len = self.below(3);
+                let poly = Polynomial::from_terms(
+                    (0..len)
+                        .map(|_| {
+                            let e = self.below(3) as u32;
+                            (self.rational(), Monomial::from_powers([(param, e)]))
+                        })
+                        .collect::<Vec<_>>(),
+                );
+                out = out.add(&ExpPoly::exp_poly_term(base, poly, &param));
+            }
+            out
+        }
+
+        fn term(&mut self, depth: usize) -> Term {
+            let w = self.word();
+            let len = (w >> 8) % 3;
+            let terms = |g: &mut Self| (0..len).map(|_| g.term(depth + 1)).collect();
+            match w % if depth == 4 { 2 } else { 8 } {
+                0 => Term::Const(self.rational()),
+                1 => Term::Var(self.symbol()),
+                2 => Term::Add(terms(self)),
+                3 => Term::Mul(terms(self)),
+                4 => Term::Pow(
+                    Box::new(self.term(depth + 1)),
+                    Box::new(self.term(depth + 1)),
+                ),
+                5 => Term::Log2(Box::new(self.term(depth + 1))),
+                6 => Term::Max(terms(self)),
+                _ => Term::Min(terms(self)),
+            }
+        }
+
+        fn formula(&mut self) -> TransitionFormula {
+            let cap = 1 + self.below(1_000_000) as usize;
+            let disjuncts = (0..self.below(3))
+                .map(|_| {
+                    let atoms = (0..self.below(3))
+                        .map(|_| match self.below(3) {
+                            0 => Atom::le_zero(self.polynomial()),
+                            1 => Atom::lt_zero(self.polynomial()),
+                            _ => Atom::eq_zero(self.polynomial()),
+                        })
+                        .collect();
+                    Polyhedron::from_parts(atoms)
+                })
+                .collect();
+            TransitionFormula::from_parts(disjuncts, cap)
+        }
+
+        fn entry(&mut self) -> ComponentEntry {
+            let mut entry = ComponentEntry::default();
+            for i in 0..1 + self.below(2) {
+                let name = self.text(&format!("p{i}"));
+                let bound_facts = (0..self.below(3))
+                    .map(|_| BoundFact {
+                        term: self.polynomial(),
+                        closed_form: self.exppoly(),
+                        bound: (self.below(3) != 0).then(|| self.term(0)),
+                        exact: self.below(2) == 0,
+                    })
+                    .collect();
+                let depth = match self.below(3) {
+                    0 => None,
+                    1 => Some(DepthBound::Linear(self.term(0))),
+                    _ => Some(DepthBound::Logarithmic(self.term(0))),
+                };
+                entry.summaries.push(ProcedureSummary {
+                    name: name.clone(),
+                    formula: self.formula(),
+                    bound_facts,
+                    depth,
+                    recursive: self.below(2) == 0,
+                });
+                for _ in 0..self.below(3) {
+                    entry.assertions.push(AssertionResult {
+                        procedure: name.clone(),
+                        label: self.text(""),
+                        verified: self.below(2) == 0,
+                    });
+                }
+            }
+            entry
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn entries_round_trip_and_damaged_ones_are_refused_without_panics(
+            words in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..160),
+            edits in proptest::collection::vec(proptest::prelude::any::<u64>(), 12)
+        ) {
+            let entry = EntryGen(words.into_iter()).entry();
+            let key = Fingerprint(0xabcd);
+            let text = encode_entry(&key, &entry, &same_scopes()).expect("encodes");
+            let decoded = decode_entry(&text, &key, &same_scopes());
+            proptest::prop_assert_eq!(decoded.as_ref(), Some(&entry), "{}", text);
+            proptest::prop_assert_eq!(
+                encode_entry(&key, &entry, &same_scopes()).as_deref(),
+                Some(text.as_str())
+            );
+            // Under a schedule that moved every component nine scopes on,
+            // the fresh symbols move with them and the bytes stay.
+            let moved = decode_entry(&text, &key, &ShiftScopes(9)).expect("rescopes");
+            proptest::prop_assert_eq!(
+                encode_entry(&key, &moved, &ShiftScopes(9)).as_deref(),
+                Some(text.as_str())
+            );
+            proptest::prop_assert_eq!(moved == entry, !text.contains("\"f:"));
+            proptest::prop_assert_eq!(entry_key(&text), Some(key));
+            // No proper prefix is an entry.
+            for cut in (0..text.len()).filter(|&cut| text.is_char_boundary(cut)) {
+                let prefix = &text[..cut];
+                proptest::prop_assert!(decode_entry(prefix, &key, &same_scopes()).is_none(), "{}", prefix);
+                proptest::prop_assert!(entry_key(prefix).is_none(), "{}", prefix);
+            }
+            // Single-byte edits decode to something or nothing, never a
+            // panic.
+            const BYTES: &[u8] = b"{}[],:\"\\ -.0129enpfhv";
+            for edit in edits {
+                let mut bytes = text.clone().into_bytes();
+                let at = (edit % bytes.len() as u64) as usize;
+                let byte = BYTES[((edit >> 32) % BYTES.len() as u64) as usize];
+                match (edit >> 16) % 3 {
+                    0 => bytes[at] = byte,
+                    1 => {
+                        bytes.remove(at);
+                    }
+                    _ => bytes.insert(at, byte),
+                }
+                if let Ok(edited) = String::from_utf8(bytes) {
+                    let _ = decode_entry(&edited, &key, &same_scopes());
+                    let _ = entry_key(&edited);
+                }
+            }
+        }
     }
 
     #[test]
@@ -1046,7 +1523,7 @@ mod tests {
             table: enc.table.clone(),
         };
         for (s, v) in syms.iter().zip(&encoded) {
-            let decoded = decode_symbol(v, &dec).expect("round-trips");
+            let decoded = parse_symbol(v.as_str().expect("a string"), &dec).expect("round-trips");
             assert_eq!(&decoded, s, "symbol {s} must round-trip");
         }
     }
@@ -1067,14 +1544,11 @@ mod tests {
             "f:1",
         ] {
             assert!(
-                decode_symbol(&Json::Str(text.into()), &dec).is_none(),
+                parse_symbol(text, &dec).is_none(),
                 "{text} must be rejected"
             );
         }
         // In range: canonical index 0 resolves through the table.
-        assert_eq!(
-            decode_symbol(&Json::Str("f:0:3".into()), &dec),
-            Some(Symbol::fresh_at(0, 3))
-        );
+        assert_eq!(parse_symbol("f:0:3", &dec), Some(Symbol::fresh_at(0, 3)));
     }
 }

@@ -12,7 +12,7 @@
 //! never delimited by EOF, which is what makes reuse sound.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -23,6 +23,11 @@ pub const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
 /// How long a worker waits on one blocking write of a response before
 /// giving up on the connection; also the default request deadline.
 pub const IO_TIMEOUT: Duration = Duration::from_secs(10);
+/// The most time a connection closed after an error response spends
+/// reading what the client still sends ([`Conn::linger`]).
+pub const LINGER_TIME: Duration = Duration::from_secs(2);
+/// The most bytes it reads and discards meanwhile.
+pub const LINGER_BYTES: usize = 1024 * 1024;
 /// Slice length of the idle wait between keep-alive requests: short enough
 /// that a flagged shutdown closes idle connections promptly, long enough to
 /// stay off the CPU.
@@ -245,6 +250,31 @@ impl Conn {
             body,
             keep_alive: head.keep_alive,
         }))
+    }
+
+    /// Closes the connection after an error response without losing the
+    /// response.  Closing a socket with unread bytes in its receive buffer
+    /// makes the kernel send a reset, which can destroy the response before
+    /// the client reads it.  So this shuts down the write half (the client
+    /// sees the response end), then reads and discards what the client
+    /// still sends until EOF, [`LINGER_TIME`] or [`LINGER_BYTES`].  The
+    /// worker is busy meanwhile, so a server drain waits for it too, at
+    /// most [`LINGER_TIME`].
+    pub fn linger(mut self) {
+        let _ = self.stream.shutdown(Shutdown::Write);
+        let deadline = Instant::now() + LINGER_TIME;
+        let mut chunk = [0u8; 16 * 1024];
+        let mut drained = 0;
+        while drained < LINGER_BYTES {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() || self.stream.set_read_timeout(Some(left)).is_err() {
+                return;
+            }
+            match self.stream.read(&mut chunk) {
+                Ok(0) | Err(_) => return,
+                Ok(n) => drained += n,
+            }
+        }
     }
 
     /// Sets the read timeout to what is left of the request deadline that

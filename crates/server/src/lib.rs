@@ -431,7 +431,9 @@ fn serve_on(
 /// and answered in a loop until the client stops, a limit trips, or the
 /// server drains.  Every response states the connection's fate in its
 /// `Connection` header; error responses always close (after a framing
-/// error the buffer position is untrustworthy).
+/// error the buffer position is untrustworthy), with a lingering close
+/// ([`http::Conn::linger`]) so that request bytes the server never read do
+/// not reset the connection before the client has read the response.
 #[allow(clippy::too_many_arguments)]
 fn handle_connection(
     stream: TcpStream,
@@ -456,7 +458,8 @@ fn handle_connection(
                 stats.record("<malformed>", response.status, 0.0);
                 let _ = response.write_to(conn.stream(), false);
                 log.emit(id, peer, "<malformed>", response.status, 0.0, "-", false);
-                break;
+                conn.linger();
+                return;
             }
         };
         served += 1;

@@ -1,10 +1,12 @@
 //! Connection-lifecycle tests over raw sockets: pipelining, split
 //! segments, explicit `Connection: close`, idle timeout, the slowloris
-//! request deadline (a stalled head and a trickled body), and the
-//! per-connection request cap.  A stub backend
+//! request deadline (a stalled head and a trickled body), the
+//! per-connection request cap, and the lingering close after an error
+//! response.  A stub backend
 //! keeps the requests instant — these tests exercise the transport, not
 //! the analysis.
 
+use chora_server::http::{LINGER_BYTES, LINGER_TIME, MAX_BODY_BYTES};
 use chora_server::{spawn, AnalysisBackend, ServerConfig, ServerHandle};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -264,6 +266,105 @@ fn a_trickled_body_is_cut_off_with_408() {
     assert!(body.contains("timed out"), "{body}");
     assert!(
         elapsed < Duration::from_secs(2),
+        "cut off after {elapsed:?}"
+    );
+    handle.shutdown();
+}
+
+/// A head the server refuses with 413 as soon as it has read it.
+fn oversized_head() -> String {
+    format!(
+        "POST /v1/analyze HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
+        MAX_BODY_BYTES + 1
+    )
+}
+
+#[test]
+fn an_error_response_survives_request_bytes_the_server_never_read() {
+    let handle = daemon(quiet_config());
+    let mut stream = connect(&handle);
+    // The refused head and 200 KB of its body in one write: the server
+    // answers without reading the body, and closing on those unread bytes
+    // must not reset the connection before the response is read.
+    let mut request = oversized_head().into_bytes();
+    request.resize(request.len() + 200 * 1024, b'x');
+    stream.write_all(&request).expect("write");
+    let mut buf = Vec::new();
+    let (status, conn, body) = read_one_response(&mut stream, &mut buf);
+    assert_eq!(status, 413, "{body}");
+    assert_eq!(conn, "close");
+    assert!(body.contains("exceeds the limit"), "{body}");
+    expect_eof(&mut stream);
+    // Hang up first, or the shutdown waits out the server's lingering
+    // read.
+    drop(stream);
+    handle.shutdown();
+}
+
+/// Writes `chunk` until a write fails; returns the error, the bytes
+/// written and the time it took.
+fn send_until_cut_off(
+    stream: &mut TcpStream,
+    chunk: &[u8],
+    pause: Duration,
+) -> (std::io::Error, usize, Duration) {
+    let started = Instant::now();
+    let mut sent = 0;
+    loop {
+        match stream.write(chunk) {
+            Ok(n) => sent += n,
+            Err(e) => return (e, sent, started.elapsed()),
+        }
+        assert!(
+            started.elapsed() < LINGER_TIME + Duration::from_secs(5),
+            "still sending after {sent} bytes"
+        );
+        std::thread::sleep(pause);
+    }
+}
+
+#[test]
+fn a_client_that_keeps_sending_after_an_error_is_cut_off_at_the_byte_cap() {
+    let handle = daemon(quiet_config());
+    let mut stream = connect(&handle);
+    stream
+        .write_all(oversized_head().as_bytes())
+        .expect("write head");
+    let (err, sent, elapsed) = send_until_cut_off(&mut stream, &[b'x'; 64 * 1024], Duration::ZERO);
+    assert!(
+        matches!(
+            err.kind(),
+            ErrorKind::BrokenPipe | ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted
+        ),
+        "{err}"
+    );
+    // What the server drains, plus what the two socket buffers hold.
+    assert!(sent < LINGER_BYTES + (32 << 20), "{sent} bytes sent");
+    assert!(elapsed < LINGER_TIME, "cut off after {elapsed:?}");
+    handle.shutdown();
+}
+
+#[test]
+fn a_client_that_keeps_trickling_after_an_error_is_cut_off_at_the_time_cap() {
+    let handle = daemon(quiet_config());
+    let mut stream = connect(&handle);
+    stream
+        .write_all(oversized_head().as_bytes())
+        .expect("write head");
+    let mut buf = Vec::new();
+    let (status, conn, _) = read_one_response(&mut stream, &mut buf);
+    assert_eq!((status, conn.as_str()), (413, "close"));
+    expect_eof(&mut stream);
+    let (err, _, elapsed) = send_until_cut_off(&mut stream, b"x", Duration::from_millis(50));
+    assert!(
+        matches!(
+            err.kind(),
+            ErrorKind::BrokenPipe | ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted
+        ),
+        "{err}"
+    );
+    assert!(
+        elapsed + Duration::from_millis(500) > LINGER_TIME,
         "cut off after {elapsed:?}"
     );
     handle.shutdown();

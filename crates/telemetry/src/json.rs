@@ -1,18 +1,24 @@
-//! The workspace's one JSON value, parser and string escaper (the build
+//! The workspace's one JSON value, reader and string escaper (the build
 //! environment is offline, so no serde).
 //!
 //! Objects, arrays, strings, numbers, booleans and null, with object keys
 //! kept in insertion order.  [`Json::pretty`] renders the `--json` reports
 //! and `/v1/*` bodies (two-space indentation); [`Json::compact`] renders the
-//! one-line summary-cache entries.  [`Json::parse`] reads request bodies and
-//! cache entries, and bounds nesting at [`MAX_DEPTH`] so that a hostile body
-//! is an error rather than a stack overflow.  Hand-laid-out documents (the
-//! Chrome trace, `/v1/stats`) escape their strings with [`escape_into`] and
-//! [`quote`].
+//! one-line summary-cache entries.
+//!
+//! There is one lexer, the pull [`Reader`]: the caller asks for the token
+//! it expects next, so a decoder builds its own types as the tokens arrive.
+//! [`Json::parse`] is a [`Json`] tree built on it and reads request bodies
+//! (`/v1/batch`); the summary-cache decoder (`chora_core::cache`) reads
+//! entries with the reader directly and builds no tree.  Both bound nesting
+//! at [`MAX_DEPTH`], so a hostile document is an error rather than a stack
+//! overflow.  Hand-laid-out documents (the Chrome trace, `/v1/stats`)
+//! escape their strings with [`escape_into`] and [`quote`].
 
+use std::borrow::Cow;
 use std::fmt::Write;
 
-/// The deepest nesting of arrays and objects [`Json::parse`] accepts.  The
+/// The deepest nesting of arrays and objects a [`Reader`] accepts.  The
 /// documents the workspace writes nest at most 12 levels deep.
 pub const MAX_DEPTH: usize = 128;
 
@@ -50,13 +56,9 @@ impl Json {
     /// Parses one JSON document (surrounding whitespace allowed, trailing
     /// garbage rejected).  Errors carry the byte offset they occurred at.
     pub fn parse(input: &str) -> Result<Json, String> {
-        let bytes = input.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data after JSON value at byte {pos}"));
-        }
+        let mut reader = Reader::new(input);
+        let value = read_value(&mut reader)?;
+        reader.finish()?;
         Ok(value)
     }
 
@@ -220,175 +222,393 @@ fn quote_into(out: &mut String, s: &str) {
     out.push('"');
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// Builds the value the reader is at.
+fn read_value(r: &mut Reader<'_>) -> Result<Json, String> {
+    Ok(match r.peek()? {
+        b'{' => {
+            r.begin_object()?;
+            let mut fields = Vec::new();
+            while let Some(key) = r.next_key()? {
+                let key = key.into_owned();
+                fields.push((key, read_value(r)?));
+            }
+            Json::Object(fields)
+        }
+        b'[' => {
+            r.begin_array()?;
+            let mut items = Vec::new();
+            while r.next_item()? {
+                items.push(read_value(r)?);
+            }
+            Json::Array(items)
+        }
+        b'"' => Json::Str(r.string()?.into_owned()),
+        b't' | b'f' => Json::Bool(r.bool()?),
+        b'n' => {
+            r.null()?;
+            Json::Null
+        }
+        _ => match r.number()? {
+            Number::Int(v) => Json::Int(v),
+            Number::Float(v) => Json::Float(v),
+        },
+    })
 }
 
-fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
-    if bytes.get(*pos) == Some(&byte) {
-        *pos += 1;
+/// A pull reader over one JSON document: the caller asks for the value it
+/// expects next, and the reader lexes just that, so a decoder can build its
+/// own types as the tokens arrive without a [`Json`] tree in between.
+///
+/// It is the lexer behind [`Json::parse`] too, with the same checks: string
+/// escapes, `\u` surrogate pairs and UTF-8, number syntax, literals, and at
+/// most [`MAX_DEPTH`] nested arrays and objects.  Whitespace is allowed
+/// between any two tokens.  Every method returns an error, never panics, on
+/// input that is not what it asked for.
+///
+/// Items of an array are read with [`next_item`](Reader::next_item) (or
+/// [`item`](Reader::item) and [`end_array`](Reader::end_array) for a fixed
+/// shape), fields of an object with [`next_key`](Reader::next_key) (or
+/// [`field`](Reader::field) and [`end_object`](Reader::end_object)).
+pub struct Reader<'a> {
+    text: &'a str,
+    bytes: &'a [u8],
+    pos: usize,
+    /// How many arrays and objects enclose the position.
+    depth: usize,
+    /// Whether the innermost open array or object has no item yet, so the
+    /// next one comes without a comma.
+    first: bool,
+}
+
+/// A number token: an integer that fits `i64`, or else a float.
+enum Number {
+    Int(i64),
+    Float(f64),
+}
+
+impl<'a> Reader<'a> {
+    pub fn new(text: &'a str) -> Reader<'a> {
+        Reader {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+            first: false,
+        }
+    }
+
+    /// Succeeds when only whitespace is left after the value just read.
+    pub fn finish(mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(format!(
+                "trailing data after JSON value at byte {}",
+                self.pos
+            ));
+        }
         Ok(())
-    } else {
-        Err(format!("expected `{}` at byte {pos}", byte as char))
     }
-}
 
-/// Parses the value at `pos`, which sits inside `depth` arrays and objects.
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
-            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
-        )),
-        Some(b'{') => parse_object(bytes, pos, depth + 1),
-        Some(b'[') => parse_array(bytes, pos, depth + 1),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
-        Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-        Some(b'-' | b'0'..=b'9') => parse_number(bytes, pos),
-        Some(&b) => Err(format!("unexpected byte `{}` at byte {pos}", b as char)),
+    /// Opens an object.
+    pub fn begin_object(&mut self) -> Result<(), String> {
+        self.open(b'{')
     }
-}
 
-fn parse_literal(bytes: &[u8], pos: &mut usize, word: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {pos}"))
+    /// The key of the object's next field, with its `:` read, or `None`
+    /// once the object's `}` is read.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        if !self.more(b'}')? {
+            return Ok(None);
+        }
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        Ok(Some(key))
     }
-}
 
-/// Parses an object whose items sit inside `depth` arrays and objects.
-fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    expect(bytes, pos, b'{')?;
-    let mut fields = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Object(fields));
+    /// Reads the key of the object's next field, which must be `name`.
+    pub fn field(&mut self, name: &str) -> Result<(), String> {
+        let at = self.pos;
+        match self.next_key()? {
+            Some(key) if key == name => Ok(()),
+            _ => Err(format!("expected field `{name}` after byte {at}")),
+        }
     }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos, depth)?;
-        fields.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Object(fields));
+
+    /// Closes an object that has no more fields.
+    pub fn end_object(&mut self) -> Result<(), String> {
+        match self.next_key()? {
+            None => Ok(()),
+            Some(key) => Err(format!("unexpected field `{key}` at byte {}", self.pos)),
+        }
+    }
+
+    /// Opens an array.
+    pub fn begin_array(&mut self) -> Result<(), String> {
+        self.open(b'[')
+    }
+
+    /// Whether the array has another item (the reader is then at it), or
+    /// else reads the array's `]`.
+    pub fn next_item(&mut self) -> Result<bool, String> {
+        self.more(b']')
+    }
+
+    /// Moves to the array's next item, which must be there.
+    pub fn item(&mut self) -> Result<(), String> {
+        if self.next_item()? {
+            Ok(())
+        } else {
+            Err(format!("array ends early at byte {}", self.pos))
+        }
+    }
+
+    /// Closes an array that has no more items.
+    pub fn end_array(&mut self) -> Result<(), String> {
+        if self.next_item()? {
+            Err(format!("expected `]` at byte {}", self.pos))
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Reads a string, borrowed from the input unless it has escapes.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, String> {
+        self.skip_ws();
+        self.expect(b'"')?;
+        let bytes = self.bytes;
+        let mut out: Option<String> = None;
+        loop {
+            // Take the run of bytes up to the next `"` or `\` in one piece:
+            // both are ASCII, so in UTF-8 input the run ends on a char
+            // boundary, and the run is UTF-8 when the input is.
+            let run = bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| "unterminated string".to_string())?;
+            let text = self
+                .text
+                .get(self.pos..self.pos + run)
+                .ok_or_else(|| format!("invalid UTF-8 at byte {}", self.pos))?;
+            self.pos += run;
+            if bytes[self.pos] == b'"' {
+                self.pos += 1;
+                self.first = false;
+                return Ok(match out {
+                    None => Cow::Borrowed(text),
+                    Some(mut out) => {
+                        out.push_str(text);
+                        Cow::Owned(out)
+                    }
+                });
             }
-            _ => return Err(format!("expected `,` or `}}` at byte {pos}")),
-        }
-    }
-}
-
-/// Parses an array whose items sit inside `depth` arrays and objects.
-fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Array(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos, depth)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Array(items));
+            let out = out.get_or_insert_with(String::new);
+            out.push_str(text);
+            self.pos += 1;
+            match bytes.get(self.pos) {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'b') => out.push('\u{0008}'),
+                Some(b'f') => out.push('\u{000c}'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'u') => out.push(self.unicode_escape()?),
+                _ => return Err(format!("invalid escape at byte {}", self.pos)),
             }
-            _ => return Err(format!("expected `,` or `]` at byte {pos}")),
+            self.pos += 1;
         }
     }
-}
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        // Copy the run of bytes up to the next `"` or `\` in one piece: both
-        // are ASCII, so in UTF-8 input the run ends on a char boundary.
-        let run = bytes[*pos..]
-            .iter()
-            .position(|&b| b == b'"' || b == b'\\')
-            .ok_or_else(|| "unterminated string".to_string())?;
-        let text = std::str::from_utf8(&bytes[*pos..*pos + run])
-            .map_err(|_| format!("invalid UTF-8 at byte {pos}"))?;
-        out.push_str(text);
-        *pos += run;
-        if bytes[*pos] == b'"' {
-            *pos += 1;
-            return Ok(out);
-        }
-        *pos += 1;
-        match bytes.get(*pos) {
-            Some(b'"') => out.push('"'),
-            Some(b'\\') => out.push('\\'),
-            Some(b'/') => out.push('/'),
-            Some(b'b') => out.push('\u{0008}'),
-            Some(b'f') => out.push('\u{000c}'),
-            Some(b'n') => out.push('\n'),
-            Some(b'r') => out.push('\r'),
-            Some(b't') => out.push('\t'),
-            Some(b'u') => out.push(parse_unicode_escape(bytes, pos)?),
-            _ => return Err(format!("invalid escape at byte {pos}")),
-        }
-        *pos += 1;
-    }
-}
-
-/// Decodes the `\u` escape whose `u` is at `pos`, combining a UTF-16
-/// surrogate pair written as two escapes into one character; leaves `pos`
-/// on the escape's last hex digit.  A lone surrogate is an error.
-fn parse_unicode_escape(bytes: &[u8], pos: &mut usize) -> Result<char, String> {
-    let start = *pos;
-    let mut code = hex4(bytes, start + 1)?;
-    *pos += 4;
-    if (0xd800..0xdc00).contains(&code) && bytes.get(*pos + 1..*pos + 3) == Some(b"\\u") {
-        let low = hex4(bytes, *pos + 3)?;
-        if (0xdc00..0xe000).contains(&low) {
-            code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
-            *pos += 6;
+    /// Reads `true` or `false`.
+    pub fn bool(&mut self) -> Result<bool, String> {
+        match self.peek()? {
+            b't' => self.literal("true").map(|()| true),
+            b'f' => self.literal("false").map(|()| false),
+            _ => Err(self.unexpected()),
         }
     }
-    char::from_u32(code).ok_or_else(|| format!("lone surrogate at byte {start}"))
-}
 
-/// The value of the four hex digits starting at `at`.
-fn hex4(bytes: &[u8], at: usize) -> Result<u32, String> {
-    let hex = bytes
-        .get(at..at + 4)
-        .and_then(|h| std::str::from_utf8(h).ok())
-        .ok_or_else(|| format!("truncated \\u escape at byte {at}"))?;
-    u32::from_str_radix(hex, 16).map_err(|_| format!("invalid \\u escape at byte {at}"))
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = bytes.get(*pos) {
-        *pos += 1;
+    /// Reads a `null` if one comes next: `true` when it did, `false` (and
+    /// nothing read) when another value comes next.
+    pub fn null(&mut self) -> Result<bool, String> {
+        if self.peek()? != b'n' {
+            return Ok(false);
+        }
+        self.literal("null").map(|()| true)
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).expect("ASCII number");
-    // An integer literal beyond `i64` is how an integral `Float` of that
-    // magnitude is written, so it reads back as one.
-    match text.parse::<i64>() {
-        Ok(v) => Ok(Json::Int(v)),
-        Err(_) => text
-            .parse::<f64>()
-            .map(Json::Float)
-            .map_err(|_| format!("invalid number `{text}` at byte {start}")),
+
+    /// Reads an integer that fits `i64`.
+    pub fn int(&mut self) -> Result<i64, String> {
+        let at = self.pos;
+        match self.number()? {
+            Number::Int(v) => Ok(v),
+            Number::Float(_) => Err(format!("expected an integer after byte {at}")),
+        }
+    }
+
+    /// Reads one value of any kind, and builds nothing.
+    pub fn skip(&mut self) -> Result<(), String> {
+        match self.peek()? {
+            b'{' => {
+                self.begin_object()?;
+                while self.next_key()?.is_some() {
+                    self.skip()?;
+                }
+            }
+            b'[' => {
+                self.begin_array()?;
+                while self.next_item()? {
+                    self.skip()?;
+                }
+            }
+            b'"' => {
+                self.string()?;
+            }
+            b't' | b'f' => {
+                self.bool()?;
+            }
+            b'n' => {
+                self.null()?;
+            }
+            _ => {
+                self.number()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The first byte of the next token.
+    fn peek(&mut self) -> Result<u8, String> {
+        self.skip_ws();
+        match self.bytes.get(self.pos) {
+            Some(&b) => Ok(b),
+            None => Err("unexpected end of input".to_string()),
+        }
+    }
+
+    /// Why the next token cannot start the value asked for.
+    fn unexpected(&self) -> String {
+        match self.bytes.get(self.pos) {
+            Some(&b) => format!("unexpected byte `{}` at byte {}", b as char, self.pos),
+            None => "unexpected end of input".to_string(),
+        }
+    }
+
+    /// Reads the `open` bracket of an array or object.
+    fn open(&mut self, open: u8) -> Result<(), String> {
+        self.skip_ws();
+        if self.depth == MAX_DEPTH && self.bytes.get(self.pos) == Some(&open) {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.expect(open)?;
+        self.depth += 1;
+        self.first = true;
+        Ok(())
+    }
+
+    /// Whether the open array or object has another item: reads the comma
+    /// before it, or else the `close` bracket.
+    fn more(&mut self, close: u8) -> Result<bool, String> {
+        self.skip_ws();
+        let next = self.bytes.get(self.pos).copied();
+        if next == Some(close) {
+            self.pos += 1;
+            self.depth -= 1;
+            self.first = false;
+            return Ok(false);
+        }
+        if self.first {
+            return Ok(true);
+        }
+        if next == Some(b',') {
+            self.pos += 1;
+            return Ok(true);
+        }
+        Err(format!(
+            "expected `,` or `{}` at byte {}",
+            close as char, self.pos
+        ))
+    }
+
+    fn skip_ws(&mut self) {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(self.pos) {
+            self.pos += 1;
+        }
+    }
+
+    fn expect(&mut self, byte: u8) -> Result<(), String> {
+        if self.bytes.get(self.pos) == Some(&byte) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(format!("expected `{}` at byte {}", byte as char, self.pos))
+        }
+    }
+
+    fn literal(&mut self, word: &str) -> Result<(), String> {
+        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            self.first = false;
+            Ok(())
+        } else {
+            Err(format!("invalid literal at byte {}", self.pos))
+        }
+    }
+
+    /// Decodes the `\u` escape whose `u` is at the position, combining a
+    /// UTF-16 surrogate pair written as two escapes into one character;
+    /// leaves the position on the escape's last hex digit.  A lone surrogate
+    /// is an error.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let start = self.pos;
+        let mut code = self.hex4(start + 1)?;
+        self.pos += 4;
+        if (0xd800..0xdc00).contains(&code)
+            && self.bytes.get(self.pos + 1..self.pos + 3) == Some(b"\\u")
+        {
+            let low = self.hex4(self.pos + 3)?;
+            if (0xdc00..0xe000).contains(&low) {
+                code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                self.pos += 6;
+            }
+        }
+        char::from_u32(code).ok_or_else(|| format!("lone surrogate at byte {start}"))
+    }
+
+    /// The value of the four hex digits starting at `at`.
+    fn hex4(&self, at: usize) -> Result<u32, String> {
+        let hex = self
+            .bytes
+            .get(at..at + 4)
+            .and_then(|h| std::str::from_utf8(h).ok())
+            .ok_or_else(|| format!("truncated \\u escape at byte {at}"))?;
+        u32::from_str_radix(hex, 16).map_err(|_| format!("invalid \\u escape at byte {at}"))
+    }
+
+    fn number(&mut self) -> Result<Number, String> {
+        if !matches!(self.peek()?, b'-' | b'0'..=b'9') {
+            return Err(self.unexpected());
+        }
+        let start = self.pos;
+        while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = self.bytes.get(self.pos) {
+            self.pos += 1;
+        }
+        self.first = false;
+        let text = &self.text[start..self.pos];
+        // An integer literal beyond `i64` is how an integral `Float` of that
+        // magnitude is written, so it reads back as one.
+        match text.parse::<i64>() {
+            Ok(v) => Ok(Number::Int(v)),
+            Err(_) => text
+                .parse::<f64>()
+                .map(Number::Float)
+                .map_err(|_| format!("invalid number `{text}` at byte {start}")),
+        }
     }
 }
 
@@ -486,6 +706,56 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn errors_say_what_went_wrong_and_where() {
+        for (bad, error) in [
+            ("", "unexpected end of input"),
+            (" \n", "unexpected end of input"),
+            ("[1, 2", "expected `,` or `]` at byte 5"),
+            ("{\"a\" 1}", "expected `:` at byte 5"),
+            ("[1,]", "unexpected byte `]` at byte 3"),
+            ("nulp", "invalid literal at byte 0"),
+            ("\"open", "unterminated string"),
+            ("[1] x", "trailing data after JSON value at byte 4"),
+            ("{\"a\": }", "unexpected byte `}` at byte 6"),
+            ("{1:2}", "expected `\"` at byte 1"),
+            ("[1 2]", "expected `,` or `]` at byte 3"),
+            ("{\"a\":1 \"b\":2}", "expected `,` or `}` at byte 7"),
+            ("-", "invalid number `-` at byte 0"),
+            ("1.2.3", "invalid number `1.2.3` at byte 0"),
+            ("\"\\x\"", "invalid escape at byte 2"),
+            ("\"\\u12\"", "truncated \\u escape at byte 3"),
+            ("\"\\uzzzz\"", "invalid \\u escape at byte 3"),
+            ("\"\\ud83d\"", "lone surrogate at byte 2"),
+            ("[}", "unexpected byte `}` at byte 1"),
+        ] {
+            assert_eq!(Json::parse(bad), Err(error.to_string()), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn the_reader_borrows_strings_without_escapes() {
+        let mut r =
+            Reader::new(r#"{"plain": "a b", "escaped": ["x\"y\\z\u00e9", 12, null, true]}"#);
+        r.begin_object().expect("object");
+        r.field("plain").expect("first field");
+        assert!(matches!(r.string(), Ok(Cow::Borrowed("a b"))));
+        r.field("escaped").expect("second field");
+        r.begin_array().expect("array");
+        r.item().expect("an item");
+        assert!(matches!(r.string(), Ok(Cow::Owned(s)) if s == "x\"y\\zé"));
+        r.item().expect("an item");
+        assert_eq!(r.int(), Ok(12));
+        r.item().expect("an item");
+        assert_eq!(r.null(), Ok(true));
+        r.item().expect("an item");
+        assert_eq!(r.null(), Ok(false));
+        assert_eq!(r.bool(), Ok(true));
+        r.end_array().expect("end of array");
+        r.end_object().expect("end of object");
+        r.finish().expect("nothing after the document");
     }
 
     #[test]
